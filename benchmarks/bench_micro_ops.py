@@ -2,7 +2,8 @@
 
 These are proper pytest-benchmark timings (many iterations) for the
 operations the federated inner loop is made of: gradient estimators, the
-quadratic prox, weighted aggregation, and the im2col convolution.  Use
+quadratic prox, weighted aggregation, the im2col convolution and max
+pooling.  Use
 them to catch performance regressions; `--benchmark-compare` works.
 """
 
@@ -13,7 +14,14 @@ from repro.core.estimators import make_estimator
 from repro.core.proximal import QuadraticProx
 from repro.fl.aggregation import weighted_average
 from repro.models import MultinomialLogisticModel, make_paper_cnn_model
+from repro.nn import MaxPool2D
 from repro.nn.im2col import col2im, im2col
+
+# The two pooled activations of the fig3 CNN at channel_scale=0.25, at a
+# small and a full local batch.
+FIG3_POOL_INPUTS = [
+    (n, c, s, s) for n in (9, 36) for c, s in ((8, 28), (16, 14))
+]
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +84,23 @@ class TestConvThroughput:
         y = rng.integers(0, 10, 64)
         w = model.init_parameters(0)
         benchmark(lambda: model.loss_and_gradient(w, X, y))
+
+
+class TestMaxPoolThroughput:
+    @staticmethod
+    def _relu_input(shape):
+        rng = np.random.default_rng(6)
+        return np.maximum(rng.standard_normal(shape), 0.0)
+
+    @pytest.mark.parametrize("shape", FIG3_POOL_INPUTS, ids=str)
+    def test_maxpool_forward(self, benchmark, shape):
+        pool = MaxPool2D(2)
+        x = self._relu_input(shape)
+        benchmark(lambda: pool.forward(x, train=True))
+
+    @pytest.mark.parametrize("shape", FIG3_POOL_INPUTS, ids=str)
+    def test_maxpool_backward(self, benchmark, shape):
+        pool = MaxPool2D(2)
+        out = pool.forward(self._relu_input(shape), train=True)
+        g = np.random.default_rng(7).standard_normal(out.shape)
+        benchmark(lambda: pool.backward(g))

@@ -1,9 +1,10 @@
 """Pluggable array-backend seam.
 
-Every stacked-ndarray kernel in the cohort execution path (batched
-minibatch gradients, vectorized prox/estimator algebra, im2col GEMMs)
-routes its heavy array operations through an :class:`ArrayBackend`
-rather than calling NumPy directly.  The default backend *is* NumPy —
+The stacked minibatch-gradient GEMMs of the batched cohort path
+(:mod:`repro.models.batched`) route through an :class:`ArrayBackend`
+rather than calling NumPy directly; the prox/estimator algebra and the
+``repro.nn`` layers (im2col/col2im, conv, pooling) call NumPy
+themselves.  The default backend *is* NumPy —
 the seam exists so that a faster drop-in (a threaded BLAS wrapper, an
 accelerator array library with a NumPy-compatible surface) can be
 swapped in per process or per scope without touching any algorithm

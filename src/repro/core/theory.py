@@ -157,26 +157,36 @@ def tau_upper_bound_svrg(beta: float, a: Optional[float] = None) -> float:
     *self-consistent* bound when ``a`` is omitted.
 
     Self-consistency: the largest integer ``tau`` with
-    ``tau <= (5 beta^2 - 4 beta) / (8 a_min(tau)) - 2`` — found by
-    downward scan since the right side decreases in ``tau``.
+    ``tau <= (5 beta^2 - 4 beta) / (8 a_min(tau)) - 2``.  The right side
+    is non-increasing in ``tau`` — in floating point too, since every
+    operation in it rounds monotonically — so the feasible integers form
+    an interval starting at 0, and its end is found by doubling then
+    bisection in O(log tau) evaluations.  When even ``tau = 0`` is
+    infeasible the (negative) bound at ``tau = 0`` is returned.
     """
     check_positive("beta", beta)
     base = 5.0 * beta**2 - 4.0 * beta
     if a is not None:
         check_positive("a", a)
         return base / (8.0 * a) - 2.0
-    # Monotone scan: rhs(tau) decreases as tau grows, so the feasible
-    # set {tau : tau <= rhs(tau)} is a down-closed integer interval.
-    tau = 0
-    while True:
-        rhs = base / (8.0 * svrg_min_a(tau + 1)) - 2.0
-        if tau + 1 > rhs:
-            break
-        tau += 1
+
+    def exceeds(tau: int) -> bool:
+        return tau > base / (8.0 * svrg_min_a(tau)) - 2.0
+
+    # Invariant: every tau in [1, good] is feasible, ``bad`` is not.
+    good, bad = 0, 1
+    while not exceeds(bad):
+        good, bad = bad, 2 * bad
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if exceeds(mid):
+            bad = mid
+        else:
+            good = mid
     rhs0 = base / (8.0 * svrg_min_a(0)) - 2.0
-    if tau == 0 and rhs0 < 0:
+    if good == 0 and rhs0 < 0:
         return rhs0  # infeasible even at tau = 0; report the (negative) bound
-    return float(tau)
+    return float(good)
 
 
 def lemma1_feasible(

@@ -99,7 +99,9 @@ class NNModel(Model):
         self._load(w)
         scores = self.network.forward(self._shape_batch(X), train=True)
         loss, grad_scores = self.loss_head.value_and_grad(scores, y)
-        self.network.backward(grad_scores)
+        # Only parameter gradients are packed: skip the first layer's
+        # input gradient (for a CNN, conv1's GEMM and col2im).
+        self.network.backward(grad_scores, input_grad=False)
         return float(loss), flatten_arrays(self.network.gradients())
 
     def predict(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:

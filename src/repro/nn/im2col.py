@@ -4,8 +4,8 @@ Convolution as matrix multiplication: every receptive-field patch is
 unrolled into a column, so the convolution becomes a single GEMM — the
 classic HPC trick that turns a six-deep Python loop into one BLAS call.
 ``im2col`` is implemented with stride tricks (a zero-copy sliding-window
-view followed by one reshape-copy), ``col2im`` with ``np.add.at``
-scatter-accumulation.
+view followed by one reshape-copy), ``col2im`` as one strided slice add
+per kernel offset.
 
 Layout conventions: images are ``(N, C, H, W)``; columns are
 ``(C*KH*KW, N*OH*OW)``.
@@ -170,15 +170,18 @@ def col2im(
             f"kernel {kernel}, stride {stride}, padding {padding}"
         )
     Hp, Wp = H + 2 * padding, W + 2 * padding
-    padded = np.zeros((N, C, Hp, Wp), dtype=np.float64)
-    patches = cols.reshape(C, kh, kw, N, oh, ow).transpose(3, 0, 4, 5, 1, 2)
-    # Accumulate each kernel offset as a strided slice add: O(kh*kw)
-    # vectorized adds instead of a Python loop over every patch.
+    # Accumulate channel-major: offset (i, j) of the columns is a
+    # contiguous (C, N, OH, OW) slab, added into a strided slice of a
+    # (C, N, Hp, Wp) buffer; i outer, j inner, each cell summed from 0.0
+    # in that order.
+    padded = np.zeros((C, N, Hp, Wp), dtype=np.float64)
+    patches = cols.reshape(C, kh, kw, N, oh, ow)
     for i in range(kh):
         h_end = i + stride * oh
         for j in range(kw):
             w_end = j + stride * ow
-            padded[:, :, i:h_end:stride, j:w_end:stride] += patches[:, :, :, :, i, j]
+            padded[:, :, i:h_end:stride, j:w_end:stride] += patches[:, i, j]
+    image = padded.transpose(1, 0, 2, 3)
     if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        return image[:, :, padding:-padding, padding:-padding]
+    return image

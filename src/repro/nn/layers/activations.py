@@ -22,7 +22,9 @@ class ReLU(Module):
             self._mask = x > 0.0
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward(train=True)")
         return np.asarray(grad_output, dtype=np.float64) * self._mask
@@ -45,7 +47,9 @@ class Sigmoid(Module):
             self._out = out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward called before forward(train=True)")
         s = self._out
@@ -64,7 +68,9 @@ class Tanh(Module):
             self._out = out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward called before forward(train=True)")
         return np.asarray(grad_output, dtype=np.float64) * (1.0 - self._out**2)

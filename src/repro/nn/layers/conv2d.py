@@ -29,7 +29,8 @@ class Conv2D(Module):
     (:func:`repro.nn.im2col.im2col`) and computes all outputs with one
     matrix multiply; the backward pass reuses the cached columns for the
     weight gradient and scatters the input gradient back with
-    :func:`col2im`.  Weight shape is ``(out_channels, in_channels, KH, KW)``.
+    :func:`col2im`, unless the caller will not read it.  Weight shape is
+    ``(out_channels, in_channels, KH, KW)``.
     """
 
     def __init__(
@@ -118,7 +119,9 @@ class Conv2D(Module):
             out += self.bias[:, None]
         return out.reshape(self.out_channels, N, oh, ow).transpose(1, 0, 2, 3)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache_cols is None or self._cache_x_shape is None:
             raise RuntimeError("backward called before forward(train=True)")
         x_shape = self._cache_x_shape
@@ -135,6 +138,8 @@ class Conv2D(Module):
         self.grad_weight[...] = (g2d @ self._cache_cols.T).reshape(self.weight.shape)
         if self.use_bias:
             np.sum(g2d, axis=1, out=self.grad_bias)
+        if not input_grad:
+            return None
         w2d = self.weight.reshape(self.out_channels, self.in_channels * kh * kw)
         grad_cols = w2d.T @ g2d
         if telemetry.nn_profiling:

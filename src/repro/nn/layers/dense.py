@@ -62,7 +62,9 @@ class Dense(Module):
             out += self.bias
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache_input is None:
             raise RuntimeError("backward called before forward(train=True)")
         x = self._cache_input
@@ -75,6 +77,8 @@ class Dense(Module):
         np.matmul(x.T, grad_output, out=self.grad_weight)
         if self.use_bias:
             np.sum(grad_output, axis=0, out=self.grad_bias)
+        if not input_grad:
+            return None
         return grad_output @ self.weight.T
 
     def parameters(self) -> List[np.ndarray]:

@@ -35,7 +35,9 @@ class Dropout(Module):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError(
                 "backward called without a preceding forward(train=True) "

@@ -21,7 +21,9 @@ class Flatten(Module):
             self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward(train=True)")
         return np.asarray(grad_output, dtype=np.float64).reshape(self._shape)

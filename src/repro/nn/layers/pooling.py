@@ -14,10 +14,20 @@ from repro.nn.module import Module
 class MaxPool2D(Module):
     """Non-overlapping-or-strided 2-D max pooling over NCHW inputs.
 
-    The forward pass uses the zero-copy sliding-window view, reducing
-    over the window axes; the backward pass routes each upstream
-    gradient to the argmax location of its window (ties go to the first
-    maximum in row-major window order, matching ``argmax`` semantics).
+    Both passes loop over the ``ph*pw`` window offsets in row-major
+    order, each a strided slice of the input, so no window is copied.
+    Forward folds the offsets with ``np.maximum`` — numpy's own ``max``
+    reduction for windows of up to 8 cells; larger windows of mixed-sign
+    zeros may differ from ``max`` in the sign of a zero result — and
+    keeps the offset of the first maximum, as ``argmax`` does: a strict
+    ``>`` leaves ties (common on ReLU outputs) with the first, and a NaN
+    window points at its first NaN.  Backward adds
+    ``where(offset == k, grad, 0.0)`` into each offset's slice of a
+    zeroed buffer, so each cell is ``0.0 + grad`` or ``0.0``: bit for
+    bit a scatter-add onto the argmax.  With overlapping windows (stride
+    < pool) a cell's gradients are summed in offset order, not window
+    order, so there the result agrees in value but not necessarily in
+    the last bit.
     """
 
     def __init__(
@@ -36,7 +46,7 @@ class MaxPool2D(Module):
         if self.stride < 1:
             raise ConfigurationError(f"invalid stride {self.stride}")
         self._cache_x_shape: Optional[Tuple[int, int, int, int]] = None
-        self._cache_argmax: Optional[np.ndarray] = None
+        self._cache_offset: Optional[np.ndarray] = None
 
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         """Per-sample output shape ``(C, OH, OW)`` for a CHW input."""
@@ -51,34 +61,43 @@ class MaxPool2D(Module):
         if x.ndim != 4:
             raise DimensionMismatchError(f"MaxPool2D expected NCHW, got {x.shape}")
         windows = sliding_windows(x, self.pool_size, self.stride)
-        N, C, oh, ow, ph, pw = windows.shape
-        flat = windows.reshape(N, C, oh, ow, ph * pw)
+        ph, pw = self.pool_size
+        best = windows[..., 0, 0].copy()
+        offset = np.zeros(best.shape, dtype=np.intp) if train else None
+        for k in range(1, ph * pw):
+            cand = windows[..., k // pw, k % pw]
+            if train:
+                offset[cand > best] = k
+            np.maximum(best, cand, out=best)
         if train:
+            nan = np.isnan(best)
+            if nan.any():
+                # ``cand > best`` is never true against a NaN; point each
+                # NaN window at its first NaN, as argmax does.
+                for k in range(ph * pw - 1, -1, -1):
+                    offset[nan & np.isnan(windows[..., k // pw, k % pw])] = k
             self._cache_x_shape = x.shape
-            self._cache_argmax = np.argmax(flat, axis=-1)
-        return flat.max(axis=-1)
+            self._cache_offset = offset
+        return best
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache_x_shape is None or self._cache_argmax is None:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray:
+        if self._cache_x_shape is None or self._cache_offset is None:
             raise RuntimeError("backward called before forward(train=True)")
-        N, C, H, W = self._cache_x_shape
-        argmax = self._cache_argmax
-        oh, ow = argmax.shape[2], argmax.shape[3]
+        offset = self._cache_offset
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        if grad_output.shape != (N, C, oh, ow):
+        if grad_output.shape != offset.shape:
             raise DimensionMismatchError(
-                f"grad_output shape {grad_output.shape} != {(N, C, oh, ow)}"
+                f"grad_output shape {grad_output.shape} != {offset.shape}"
             )
         ph, pw = self.pool_size
-        grad_input = np.zeros((N, C, H, W), dtype=np.float64)
-        # Decode window-local argmax to absolute coordinates, then
-        # scatter-add (windows may overlap when stride < pool size).
-        local_r, local_c = np.divmod(argmax, pw)
-        base_r = np.arange(oh)[None, None, :, None] * self.stride
-        base_c = np.arange(ow)[None, None, None, :] * self.stride
-        rows = (base_r + local_r).ravel()
-        cols = (base_c + local_c).ravel()
-        n_idx = np.repeat(np.arange(N), C * oh * ow)
-        c_idx = np.tile(np.repeat(np.arange(C), oh * ow), N)
-        np.add.at(grad_input, (n_idx, c_idx, rows, cols), grad_output.ravel())
+        s = self.stride
+        oh, ow = offset.shape[2], offset.shape[3]
+        grad_input = np.zeros(self._cache_x_shape, dtype=np.float64)
+        for k in range(ph * pw):
+            i, j = divmod(k, pw)
+            grad_input[:, :, i : i + s * oh : s, j : j + s * ow : s] += np.where(
+                offset == k, grad_output, 0.0
+            )
         return grad_input

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,11 +22,17 @@ class Module:
         """Compute the layer output, caching anything backward needs."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         """Propagate ``dLoss/dOutput`` to ``dLoss/dInput``.
 
         Also fills this layer's gradient buffers.  Must be called after
-        a matching :meth:`forward`.
+        a matching :meth:`forward`.  ``input_grad=False`` says the caller
+        will not read ``dLoss/dInput`` (the network's first layer when
+        only parameter gradients are wanted): a layer whose input
+        gradient costs real work (a GEMM, a col2im) skips it and returns
+        ``None``; cheap parameter-free layers may ignore the flag.
         """
         raise NotImplementedError
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -25,6 +25,10 @@ class Sequential(Module):
     ``nn.layer.backward_seconds`` histograms keyed by
     ``<position>:<obs_label>``; the default path pays one attribute
     check per call.
+
+    ``backward(..., input_grad=False)`` passes the flag to the first
+    layer only, whose input gradient is the one nobody downstream needs;
+    every other layer's input gradient is the next one's ``grad_output``.
     """
 
     def __init__(self, layers: Iterable[Module]) -> None:
@@ -49,19 +53,21 @@ class Sequential(Module):
             )
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         grad = grad_output
         if not telemetry.nn_profiling:
-            for layer in reversed(self.layers):
+            for layer in self.layers[:0:-1]:
                 grad = layer.backward(grad)
-            return grad
-        for layer, key in zip(
-            reversed(self.layers), reversed(self._obs_keys)
-        ):
+            return self.layers[0].backward(grad, input_grad=input_grad)
+        for pos in reversed(range(len(self.layers))):
             t0 = time.perf_counter()
-            grad = layer.backward(grad)
+            grad = self.layers[pos].backward(grad, input_grad=input_grad or pos > 0)
             telemetry.observe(
-                "nn.layer.backward_seconds", time.perf_counter() - t0, key=key
+                "nn.layer.backward_seconds",
+                time.perf_counter() - t0,
+                key=self._obs_keys[pos],
             )
         return grad
 

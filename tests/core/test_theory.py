@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import theory
@@ -77,6 +78,38 @@ class TestLemma1Bounds:
         # feasibility at the returned tau
         a = theory.svrg_min_a(tau)
         assert tau <= (5 * beta**2 - 4 * beta) / (8 * a) - 2 + 1e-9
+
+    @staticmethod
+    def _scan_svrg_bound(beta):
+        """The direct O(tau) upward scan, as an oracle."""
+        base = 5.0 * beta**2 - 4.0 * beta
+        tau = 0
+        while True:
+            rhs = base / (8.0 * theory.svrg_min_a(tau + 1)) - 2.0
+            if tau + 1 > rhs:
+                break
+            tau += 1
+        rhs0 = base / (8.0 * theory.svrg_min_a(0)) - 2.0
+        if tau == 0 and rhs0 < 0:
+            return rhs0
+        return float(tau)
+
+    def test_svrg_self_consistent_bound_matches_scan(self):
+        # beta below about 9.05 is infeasible even at tau = 0 (negative
+        # rhs0); the random draws land between the bound's integer flips.
+        rng = np.random.default_rng(12)
+        grid = np.concatenate(
+            [
+                [0.5, 1.0, 3.0, 8.0, 8.6, 8.7, 9.0, 10.0, 30.0, 100.0],
+                np.geomspace(0.2, 2e4, 60),
+                rng.uniform(5.0, 3000.0, 60),
+            ]
+        )
+        for beta in grid:
+            got = theory.tau_upper_bound_svrg(float(beta))
+            want = self._scan_svrg_bound(float(beta))
+            assert got == want, beta
+        assert theory.tau_upper_bound_svrg(9.0) < 0 == theory.tau_upper_bound_svrg(9.1)
 
     def test_svrg_stricter_than_sarah(self):
         """Remark 1(5): SVRG admits far fewer local iterations."""
