@@ -14,6 +14,7 @@ from repro.core.estimators import make_estimator
 from repro.core.proximal import QuadraticProx
 from repro.fl.aggregation import weighted_average
 from repro.models import MultinomialLogisticModel, make_paper_cnn_model
+from repro.models.batched import make_batch_kernel
 from repro.nn import MaxPool2D
 from repro.nn.im2col import col2im, im2col
 
@@ -39,12 +40,13 @@ class TestEstimatorThroughput:
     def test_estimator_step(self, benchmark, name, logistic_problem):
         model, X, y, w = logistic_problem
         est = make_estimator(name)
+        kernel = make_batch_kernel([model])
         full = model.gradient(w, X, y)
-        est.start_epoch(w, full)
-        batch = slice(0, 32)
-        w_t = w + 0.01
+        est.start_epoch(w[None], full[None])
+        X_batch, y_batch = X[None, :32], y[None, :32]
+        W_t = (w + 0.01)[None]
 
-        benchmark(lambda: est.estimate(model, X[batch], y[batch], w_t))
+        benchmark(lambda: est.estimate(kernel, X_batch, y_batch, W_t))
 
 
 class TestProxThroughput:

@@ -13,6 +13,7 @@ Run:  python examples/sparse_recovery.py
 import numpy as np
 
 from repro import LinearRegressionModel, L1Prox, make_estimator
+from repro.models.batched import make_batch_kernel
 
 
 def prox_vr_lasso(
@@ -27,19 +28,24 @@ def prox_vr_lasso(
     batch_size: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """ProxSVRG for lasso: outer anchor + inner prox-VR steps."""
+    """ProxSVRG for lasso: outer anchor + inner prox-VR steps.
+
+    The estimators work on stacks of clients; one device is the stack
+    of one, hence the ``[None]`` / ``[0]`` at the estimator calls.
+    """
     rng = np.random.default_rng(seed)
     prox = L1Prox(lam)
     estimator = make_estimator("svrg")
+    kernel = make_batch_kernel([model])
     w = np.zeros(model.num_parameters)
     n = X.shape[0]
     for _ in range(num_epochs):
         full_grad = model.gradient(w, X, y)
-        v = estimator.start_epoch(w, full_grad)
+        v = estimator.start_epoch(w[None], full_grad[None])[0]
         w = prox(w - eta * v, eta)
         for _ in range(steps_per_epoch):
             idx = rng.choice(n, size=min(batch_size, n), replace=False)
-            v = estimator.estimate(model, X[idx], y[idx], w)
+            v = estimator.estimate(kernel, X[idx][None], y[idx][None], w[None])[0]
             w = prox(w - eta * v, eta)
     return w
 

@@ -5,22 +5,27 @@ given the broadcast global model it produces the device's local model
 for this round, plus bookkeeping the server and the delay model consume
 (gradient-evaluation counts map to computation delay ``d_cmp``).
 
-Solvers may additionally implement :meth:`LocalSolver.solve_cohort`, the
-batched execution path: a whole homogeneous cohort's inner loops run as
-stacked ``(K, D)`` ndarray operations instead of K Python loops, with
-per-(client, round) RNG streams consumed in exactly the order the
-sequential path consumes them, so results are bit-identical either way.
+A minibatch solver writes its inner loop once, in
+:meth:`LocalSolver._solve_stack`, over a ``(K, D)`` stack of clients:
+:meth:`~LocalSolver.solve_cohort` runs a whole cohort through it and
+:meth:`~LocalSolver.solve` runs one client as a stack of ``K = 1``.
+Each client draws from its own per-(client, round) RNG stream in the
+same order at any ``K``, and the stacked arithmetic is row-wise, so a
+client's result does not depend on its cohort.  Solvers without a
+minibatch loop override ``solve`` instead, and ``solve_cohort`` maps it
+over the cohort.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
 from repro.models.base import Model
+from repro.models.batched import BatchKernel, make_batch_kernel
 from repro.obs import telemetry
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -57,8 +62,8 @@ class LocalSolveResult:
         return self.final_surrogate_grad_norm / self.start_grad_norm
 
 
-class LocalSolver(ABC):
-    """Abstract per-device solver; instances are stateless across rounds
+class LocalSolver:
+    """Base per-device solver; instances are stateless across rounds
     except for configuration, so one instance can serve many clients."""
 
     #: identifier recorded in histories
@@ -75,7 +80,6 @@ class LocalSolver(ABC):
         self.num_steps = check_positive_int("num_steps", num_steps, minimum=0)
         self.batch_size = check_positive_int("batch_size", batch_size)
 
-    @abstractmethod
     def solve(
         self,
         model: Model,
@@ -85,17 +89,8 @@ class LocalSolver(ABC):
         rng: np.random.Generator,
     ) -> LocalSolveResult:
         """Run the inner loop from the broadcast model ``w_global``."""
-
-    def _sample_batch(
-        self, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        """Uniformly sample a minibatch of indices (Alg. 1 line 6)."""
-        size = min(self.batch_size, n)
-        if size == n:
-            return np.arange(n)
-        return rng.choice(n, size=size, replace=False)
-
-    # -- batched cohort execution -------------------------------------
+        kernel = make_batch_kernel([model])
+        return self._solve_stack([model], [(X, y)], w_global, [rng], kernel)[0]
 
     def solve_cohort(
         self,
@@ -103,36 +98,67 @@ class LocalSolver(ABC):
         shards: Sequence[Tuple[np.ndarray, np.ndarray]],
         w_global: np.ndarray,
         rngs: Sequence[np.random.Generator],
-        kernel,
-    ) -> Optional[List["LocalSolveResult"]]:
-        """Run one round's inner loops for a homogeneous cohort at once.
+        kernel: BatchKernel,
+    ) -> List[LocalSolveResult]:
+        """Run one round's inner loops for a cohort at once.
 
         Parameters mirror K parallel :meth:`solve` calls: ``models``,
         ``shards`` (``(X, y)`` training pairs) and ``rngs`` are ordered
         per client; ``kernel`` is a
         :class:`repro.models.batched.BatchKernel` over the cohort's
-        models (or ``None`` when no vectorized kernel exists).
-
-        Returns results ordered like the inputs, or ``None`` when this
-        solver (or this configuration) has no batched path — callers
-        must then fall back to per-client :meth:`solve` calls.  The
-        contract for implementations is **bit-identity**: result ``k``
-        must equal what ``solve`` would have produced for client ``k``
-        with the same RNG stream.
+        models.  Returns results ordered like the inputs; result ``k``
+        equals what ``solve`` produces for client ``k`` with the same
+        RNG stream, bit for bit.
         """
-        del models, shards, w_global, rngs, kernel
-        return None
+        return self._solve_stack(models, shards, w_global, rngs, kernel)
 
-    def _cohort_geometry(
+    def _solve_stack(self, models, shards, w_global, rngs, kernel):
+        """The solver's one inner loop over a stack of clients.
+
+        Minibatch solvers override this.  The default serves solvers
+        that override :meth:`solve` instead, one client at a time.
+        """
+        del kernel
+        if type(self).solve is LocalSolver.solve:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override solve or _solve_stack"
+            )
+        return [
+            self.solve(model, X, y, w_global, rng)
+            for model, (X, y), rng in zip(models, shards, rngs)
+        ]
+
+    def _sample_batch(
+        self, rng: np.random.Generator, n: int
+    ) -> np.ndarray:
+        """Uniformly sample one minibatch of indices (Alg. 1 line 6)."""
+        size = min(self.batch_size, n)
+        if size == n:
+            return np.arange(n)
+        return rng.choice(n, size=size, replace=False)
+
+    def _minibatch_buffers(
         self, shards: Sequence[Tuple[np.ndarray, np.ndarray]]
-    ) -> Optional[Tuple[int, int]]:
-        """``(B, num_features)`` when every shard yields the same
-        effective minibatch size, else ``None`` (cohort not stackable)."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(K, B, features)`` and ``(K, B)`` minibatch stacks.
+
+        Every shard must yield the same effective minibatch size and
+        feature shape; the labels keep the shards' dtype, so float
+        regression targets are not truncated.
+        """
         sizes = {min(self.batch_size, X.shape[0]) for X, _ in shards}
-        features = {X.shape[1] for X, _ in shards}
+        features = {X.shape[1:] for X, _ in shards}
         if len(sizes) != 1 or len(features) != 1:
-            return None
-        return sizes.pop(), features.pop()
+            raise ConfigurationError(
+                "a stacked solve needs one effective minibatch size and "
+                f"feature shape, got sizes {sorted(sizes)}, shapes {sorted(features)}"
+            )
+        K, batch = len(shards), sizes.pop()
+        X_batch = np.empty((K, batch) + features.pop(), dtype=np.float64)
+        y_batch = np.empty(
+            (K, batch), dtype=np.result_type(*(y.dtype for _, y in shards))
+        )
+        return X_batch, y_batch
 
     def _gather_minibatches(
         self,
@@ -143,28 +169,15 @@ class LocalSolver(ABC):
     ) -> None:
         """Sample one minibatch per client into the stacked buffers.
 
-        Consumes each client's generator exactly like one sequential
-        ``_sample_batch`` call, so interleaving clients step-by-step
-        (instead of client-by-client) leaves every stream unchanged.
-        Gathers stay per shard on purpose: each shard is small enough to
-        be cache-resident, which beats one scattered gather from a
-        concatenated copy of the whole cohort (measured on the fig2
-        macro-bench).
-
-        The cohort geometry guarantees every shard has the same
-        effective minibatch size (= ``X_out.shape[1]``), so the
-        sequential path's per-call ``min(batch_size, n)`` is hoisted:
-        either every shard is sampled (``rng.choice``, same draw as
-        ``_sample_batch``) or every shard is taken whole (no RNG
-        consumed, matching ``_sample_batch``'s full-shard branch).
+        Each client draws from its own generator, so interleaving
+        clients step-by-step (instead of client-by-client) leaves every
+        stream unchanged.  Gathers stay per shard on purpose: each shard
+        is small enough to be cache-resident, which beats one scattered
+        gather from a concatenated copy of the whole cohort (measured on
+        the fig2 macro-bench).
         """
-        size = X_out.shape[1]
-        full_idx = np.arange(size)  # shared by every full-shard gather
         for k, (X, y) in enumerate(shards):
-            if size == X.shape[0]:
-                idx = full_idx
-            else:
-                idx = rngs[k].choice(X.shape[0], size=size, replace=False)
+            idx = self._sample_batch(rngs[k], X.shape[0])
             X.take(idx, axis=0, out=X_out[k])
             y_out[k] = y[idx]
 

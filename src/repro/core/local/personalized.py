@@ -20,11 +20,10 @@ as a local model so the standard weighted-average server applies).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.core.estimators import GradientEstimator
 from repro.core.local.base import LocalSolveResult, LocalSolver
 from repro.core.local.proxvr import FedProxVRLocalSolver
 from repro.models.base import Model
@@ -55,7 +54,7 @@ class PersonalizedProxLocalSolver(LocalSolver):
         batch_size: int,
         mu: float,
         global_lr: float = 1.0,
-        estimator: Union[str, GradientEstimator] = "svrg",
+        estimator: str = "svrg",
     ) -> None:
         super().__init__(
             step_size=step_size, num_steps=num_steps, batch_size=batch_size

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.local.base import LocalSolveResult, LocalSolver
 from repro.core.proximal import QuadraticProx
-from repro.models.base import Model
 from repro.utils.validation import check_positive
 
 
@@ -35,50 +34,12 @@ class FedProxLocalSolver(LocalSolver):
         )
         self.mu = check_positive("mu", mu, strict=False)
 
-    def solve(
-        self,
-        model: Model,
-        X: np.ndarray,
-        y: np.ndarray,
-        w_global: np.ndarray,
-        rng: np.random.Generator,
-    ) -> LocalSolveResult:
-        n = X.shape[0]
-        prox = QuadraticProx(self.mu, w_global)
-        start_grad = model.gradient(w_global, X, y)
-        start_norm = float(np.linalg.norm(start_grad))
-        w = np.array(w_global, dtype=np.float64, copy=True)
-        evals = 1
-        for _ in range(self.num_steps):
-            idx = self._sample_batch(rng, n)
-            g = model.gradient(w, X[idx], y[idx])
-            evals += 1
-            w = prox(w - self.step_size * g, self.step_size)
-        final_grad = model.gradient(w, X, y) + prox.gradient(w)
-        evals += 1
-        return self._record_solve_metrics(
-            LocalSolveResult(
-                w_local=w,
-                num_steps=self.num_steps,
-                num_gradient_evaluations=evals,
-                start_grad_norm=start_norm,
-                final_surrogate_grad_norm=float(np.linalg.norm(final_grad)),
-            )
-        )
+    def _solve_stack(self, models, shards, w_global, rngs, kernel):
+        """Proximal SGD on a ``(K, D)`` stack.
 
-    def solve_cohort(self, models, shards, w_global, rngs, kernel):
-        """Stacked-cohort proximal SGD.
-
-        The quadratic prox (10) is elementwise, so the whole cohort's
-        prox step is one broadcast over the ``(K, D)`` stack against the
-        shared ``(D,)`` anchor.
+        The quadratic prox (10) is elementwise, so the whole stack's
+        prox step is one broadcast against the shared ``(D,)`` anchor.
         """
-        if kernel is None:
-            return None
-        geometry = self._cohort_geometry(shards)
-        if geometry is None:
-            return None
-        batch, features = geometry
         K = len(shards)
         w_global = np.asarray(w_global, dtype=np.float64)
         prox = QuadraticProx(self.mu, w_global)
@@ -88,8 +49,7 @@ class FedProxLocalSolver(LocalSolver):
             start_norms[k] = float(np.linalg.norm(model.gradient(w_global, X, y)))
 
         W = np.repeat(w_global[None, :], K, axis=0)
-        X_batch = np.empty((K, batch, features), dtype=np.float64)
-        y_batch = np.empty((K, batch), dtype=np.intp)
+        X_batch, y_batch = self._minibatch_buffers(shards)
         G = np.empty_like(W)
         T = np.empty_like(W)
         for _ in range(self.num_steps):
@@ -110,7 +70,7 @@ class FedProxLocalSolver(LocalSolver):
                         w_local=w_local,
                         num_steps=self.num_steps,
                         num_gradient_evaluations=self.num_steps + 2,
-                        start_grad_norm=start_norms[k],
+                        start_grad_norm=float(start_norms[k]),
                         final_surrogate_grad_norm=float(np.linalg.norm(final_grad)),
                     )
                 )

@@ -12,21 +12,22 @@ One inner loop on device ``n`` at global iteration ``s``:
 
 Optional ``theta``-stopping turns the fixed-``tau`` loop into the
 inexact criterion (11): every ``check_interval`` steps the solver
-evaluates ``||grad J_n(w^t)||`` and stops once it is below
-``theta ||grad F_n(w_bar)||``.
+evaluates ``||grad J_n(w^t)||`` of each client and stops that client
+once it is below ``theta ||grad F_n(w_bar)||``.
+
+The loop runs over a ``(K, D)`` stack of clients (see
+:mod:`repro.core.local.base`); one device's solve is the stack of one.
+The estimator is chosen by name only: each stacked solve builds a fresh
+one, since its recursion state lives for one inner loop.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.core.estimators import (
-    GradientEstimator,
-    make_batched_estimator,
-    make_estimator,
-)
+from repro.core.estimators import make_estimator
 from repro.core.local.base import LocalSolveResult, LocalSolver
 from repro.core.proximal import QuadraticProx
 from repro.exceptions import ConfigurationError
@@ -42,8 +43,8 @@ class FedProxVRLocalSolver(LocalSolver):
     Parameters
     ----------
     estimator:
-        ``"svrg"``, ``"sarah"`` (or an estimator instance / ``"sgd"`` for
-        the degenerate prox-SGD variant).
+        Name of the gradient estimator: ``"svrg"``, ``"sarah"``, or
+        ``"sgd"`` for the degenerate prox-SGD variant.
     mu:
         Proximal penalty of ``h_s`` (eq. (7)); ``mu = 0`` disables the
         prox, reproducing the Fig. 4 divergence setting.
@@ -69,7 +70,7 @@ class FedProxVRLocalSolver(LocalSolver):
         num_steps: int,
         batch_size: int,
         mu: float,
-        estimator: Union[str, GradientEstimator] = "sarah",
+        estimator: str = "sarah",
         iterate_selection: str = "last",
         theta: Optional[float] = None,
         check_interval: int = 10,
@@ -81,12 +82,8 @@ class FedProxVRLocalSolver(LocalSolver):
         self.mu = check_positive("mu", mu, strict=False)
         # Estimators are stateful across one inner loop, and one solver
         # instance serves every client (possibly concurrently), so each
-        # solve() gets a fresh estimator built from this prototype.
-        if isinstance(estimator, GradientEstimator):
-            self._estimator_cls = type(estimator)
-        else:
-            self._estimator_cls = type(make_estimator(estimator))
-        self.estimator = self._estimator_cls()
+        # stacked solve builds a fresh estimator of this one's kind.
+        self.estimator = make_estimator(estimator)
         self.iterate_selection = check_choice(
             "iterate_selection", iterate_selection, _SELECTIONS
         )
@@ -110,116 +107,33 @@ class FedProxVRLocalSolver(LocalSolver):
         grad_j = model.gradient(w, X, y) + prox.gradient(w)
         return float(np.linalg.norm(grad_j))
 
-    def solve(
-        self,
-        model: Model,
-        X: np.ndarray,
-        y: np.ndarray,
-        w_global: np.ndarray,
-        rng: np.random.Generator,
-    ) -> LocalSolveResult:
-        n = X.shape[0]
-        eta = self.step_size
-        prox = QuadraticProx(self.mu, w_global)
-        estimator = self._estimator_cls()  # fresh state per inner loop
-
-        # Lines 3-4: anchor and first proximal step.
-        w0 = np.array(w_global, dtype=np.float64, copy=True)
-        full_grad = model.gradient(w0, X, y)
-        start_norm = float(np.linalg.norm(full_grad))
-        v = estimator.start_epoch(w0, full_grad)
-        evals = 1 + estimator.num_evaluations
-
-        iterates: List[np.ndarray] = [w0]
-        w = prox(w0 - eta * v, eta)
-        iterates.append(w)
-
-        steps_taken = 0
-        stopped_early = False
-        target = self.theta * start_norm if self.theta is not None else None
-        # Lines 5-9: tau stochastic proximal VR steps.
-        for t in range(1, self.num_steps + 1):
-            idx = self._sample_batch(rng, n)
-            v = estimator.estimate(model, X[idx], y[idx], w)
-            w = prox(w - eta * v, eta)
-            iterates.append(w)
-            steps_taken = t
-            if target is not None and t % self.check_interval == 0:
-                norm_j = self._surrogate_grad_norm(model, X, y, w, prox)
-                evals += 1
-                if norm_j <= target:
-                    stopped_early = True
-                    break
-
-        evals = 1 + estimator.num_evaluations
-        if target is not None:
-            evals += steps_taken // self.check_interval
-
-        # Line 10: iterate selection over {w^0 .. w^tau}.
-        if self.iterate_selection == "random":
-            candidates = iterates[:-1] if len(iterates) > 1 else iterates
-            w_out = candidates[int(rng.integers(0, len(candidates)))]
-        elif self.iterate_selection == "last":
-            w_out = iterates[-1]
-        else:  # average
-            w_out = np.mean(np.stack(iterates[1:]), axis=0)
-
-        final_norm: Optional[float] = None
-        if self.evaluate_final:
-            final_norm = self._surrogate_grad_norm(model, X, y, w_out, prox)
-            evals += 1
-
-        return self._record_solve_metrics(
-            LocalSolveResult(
-                w_local=np.array(w_out, dtype=np.float64, copy=True),
-                num_steps=steps_taken,
-                num_gradient_evaluations=evals,
-                start_grad_norm=start_norm,
-                final_surrogate_grad_norm=final_norm,
-                diagnostics={
-                    "stopped_early": float(stopped_early),
-                    "estimator_evals": float(estimator.num_evaluations),
-                },
-            )
-        )
-
-    def solve_cohort(self, models, shards, w_global, rngs, kernel):
-        """Stacked-cohort Alg. 1: SVRG/SARAH recursions over a (K, D) stack.
+    def _solve_stack(self, models, shards, w_global, rngs, kernel):
+        """Alg. 1 over a ``(K, D)`` stack of clients.
 
         Anchor full gradients (lines 3-4) stay per-client calls on the
         heterogeneous shards; the ``tau`` stochastic steps (lines 5-9)
         run as stacked kernel/estimator/prox operations; iterate
-        selection (line 10) draws from each client's own stream in
-        client order, exactly as K sequential solves would.
+        selection (line 10) draws from each client's own stream.
 
-        ``theta``-stopping (criterion (11)) makes control flow
-        data-dependent per client, so that configuration reports "no
-        batched path" and falls back to sequential solves.
+        ``theta``-stopping is per client: a client that meets (11) at a
+        check step leaves the stack there — it draws nothing more from
+        its stream and its iterates freeze — while the others go on.
         """
-        if kernel is None or self.theta is not None:
-            return None
-        geometry = self._cohort_geometry(shards)
-        if geometry is None:
-            return None
-        batch, features = geometry
         K = len(shards)
         eta = self.step_size
         w_global = np.asarray(w_global, dtype=np.float64)
         prox = QuadraticProx(self.mu, w_global)
-        estimator = make_batched_estimator(self._estimator_cls)
+        estimator = type(self.estimator)()  # fresh state per inner loop
 
         # Lines 3-4: anchor stack and per-client full local gradients.
         W0 = np.repeat(w_global[None, :], K, axis=0)
-        full_grads = np.empty((K, w_global.size), dtype=np.float64)
+        full_grads = np.empty_like(W0)
         start_norms = np.empty(K)
         for k, ((X, y), model) in enumerate(zip(shards, models)):
             full_grads[k] = model.gradient(W0[k], X, y)
             start_norms[k] = float(np.linalg.norm(full_grads[k]))
         V = estimator.start_epoch(W0, full_grads)
 
-        # Iterates are only materialized when line 10 needs them.
-        keep_iterates = self.iterate_selection != "last"
-        iterates: List[np.ndarray] = [W0] if keep_iterates else []
         # Double-buffered update: same ops as ``prox(W - eta * V)`` —
         # scale, subtract, prox — with the result landing in the spare
         # buffer, which then becomes the current iterate.
@@ -228,57 +142,90 @@ class FedProxVRLocalSolver(LocalSolver):
         np.multiply(V, eta, out=W)
         np.subtract(W0, W, out=W)
         prox.apply_(W, eta)
-        if keep_iterates:
-            iterates.append(W.copy())
+        # Iterates are only kept when line 10 needs them: history[t] is
+        # w^t of every client still running at step t - 1.
+        history = None
+        if self.iterate_selection != "last":
+            history = np.empty((self.num_steps + 2,) + W0.shape)
+            history[0] = W0
+            history[1] = W
 
-        X_batch = np.empty((K, batch, features), dtype=np.float64)
-        y_batch = np.empty((K, batch), dtype=np.intp)
+        # Each client's loop outcome; the running clients' are filled in
+        # after the loop, a stopped client's when it stops.
+        steps = np.full(K, self.num_steps)
+        estimator_evals = np.empty(K, dtype=np.int64)
+        stopped = np.zeros(K, dtype=bool)
+        W_last = np.empty_like(W0)
+        active = np.arange(K)  # clients still running, in stack order
+        run_shards, run_rngs = list(shards), list(rngs)
+        targets = self.theta * start_norms if self.theta is not None else None
+        norms = np.empty(K)  # criterion-(11) LHS of the running clients
+
+        X_batch, y_batch = self._minibatch_buffers(shards)
         # Lines 5-9: tau stochastic proximal VR steps, stacked.
-        for _ in range(1, self.num_steps + 1):
-            self._gather_minibatches(shards, rngs, X_batch, y_batch)
+        for t in range(1, self.num_steps + 1):
+            self._gather_minibatches(run_shards, run_rngs, X_batch, y_batch)
             V = estimator.estimate(kernel, X_batch, y_batch, W)
             np.multiply(V, eta, out=T)
             np.subtract(W, T, out=T)
             prox.apply_(T, eta)
             W, T = T, W
-            if keep_iterates:
-                iterates.append(W.copy())
-        steps_taken = self.num_steps
-        evals = 1 + estimator.num_evaluations
-
-        # Line 10: iterate selection over {w^0 .. w^tau}, per client.
-        if self.iterate_selection == "random":
-            candidates = iterates[:-1] if len(iterates) > 1 else iterates
-            w_outs = [
-                candidates[int(rngs[k].integers(0, len(candidates)))][k]
-                for k in range(K)
-            ]
-        elif self.iterate_selection == "last":
-            w_outs = [W[k] for k in range(K)]
-        else:  # average
-            W_mean = np.mean(np.stack(iterates[1:]), axis=0)
-            w_outs = [W_mean[k] for k in range(K)]
+            if history is not None:
+                history[t + 1, active] = W
+            if targets is None or t % self.check_interval:
+                continue
+            for j, k in enumerate(active):
+                norms[j] = self._surrogate_grad_norm(models[k], *shards[k], W[j], prox)
+            done = norms[: active.size] <= targets[active]
+            if not done.any():
+                continue
+            finished = active[done]
+            steps[finished] = t
+            estimator_evals[finished] = estimator.num_evaluations
+            stopped[finished] = True
+            W_last[finished] = W[done]
+            # Drop the stopped rows from every per-client stack.
+            keep = np.flatnonzero(~done)
+            active = active[keep]
+            if not active.size:
+                break
+            run_shards = [shards[k] for k in active]
+            run_rngs = [rngs[k] for k in active]
+            W, T = W[keep], T[keep]
+            X_batch, y_batch = X_batch[keep], y_batch[keep]
+            estimator.keep_rows(keep)
+            kernel = kernel.subset(keep)
+        if active.size:
+            W_last[active] = W
+            estimator_evals[active] = estimator.num_evaluations
 
         results = []
         for k, ((X, y), model) in enumerate(zip(shards, models)):
+            # Line 10: iterate selection over {w^0 .. w^steps}.
+            if self.iterate_selection == "random":
+                w_out = history[int(rngs[k].integers(0, steps[k] + 1)), k]
+            elif self.iterate_selection == "last":
+                w_out = W_last[k]
+            else:  # average
+                w_out = np.mean(history[1 : steps[k] + 2, k], axis=0)
+            evals = 1 + int(estimator_evals[k])
+            if targets is not None:
+                evals += int(steps[k]) // self.check_interval
             final_norm: Optional[float] = None
-            per_client_evals = evals
             if self.evaluate_final:
-                final_norm = self._surrogate_grad_norm(
-                    model, X, y, w_outs[k], prox
-                )
-                per_client_evals += 1
+                final_norm = self._surrogate_grad_norm(model, X, y, w_out, prox)
+                evals += 1
             results.append(
                 self._record_solve_metrics(
                     LocalSolveResult(
-                        w_local=np.array(w_outs[k], dtype=np.float64, copy=True),
-                        num_steps=steps_taken,
-                        num_gradient_evaluations=per_client_evals,
-                        start_grad_norm=start_norms[k],
+                        w_local=np.array(w_out, dtype=np.float64, copy=True),
+                        num_steps=int(steps[k]),
+                        num_gradient_evaluations=evals,
+                        start_grad_norm=float(start_norms[k]),
                         final_surrogate_grad_norm=final_norm,
                         diagnostics={
-                            "stopped_early": 0.0,
-                            "estimator_evals": float(estimator.num_evaluations),
+                            "stopped_early": float(stopped[k]),
+                            "estimator_evals": float(estimator_evals[k]),
                         },
                     )
                 )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.local.base import LocalSolveResult, LocalSolver
-from repro.models.base import Model
 
 
 class FedAvgLocalSolver(LocalSolver):
@@ -18,47 +17,13 @@ class FedAvgLocalSolver(LocalSolver):
 
     name = "fedavg"
 
-    def solve(
-        self,
-        model: Model,
-        X: np.ndarray,
-        y: np.ndarray,
-        w_global: np.ndarray,
-        rng: np.random.Generator,
-    ) -> LocalSolveResult:
-        n = X.shape[0]
-        start_loss, start_grad = model.loss_and_gradient(w_global, X, y)
-        start_norm = float(np.linalg.norm(start_grad))
-        w = np.array(w_global, dtype=np.float64, copy=True)
-        evals = 1  # the diagnostic full gradient above
-        for _ in range(self.num_steps):
-            idx = self._sample_batch(rng, n)
-            g = model.gradient(w, X[idx], y[idx])
-            evals += 1
-            w -= self.step_size * g
-        return self._record_solve_metrics(
-            LocalSolveResult(
-                w_local=w,
-                num_steps=self.num_steps,
-                num_gradient_evaluations=evals,
-                start_grad_norm=start_norm,
-                diagnostics={"start_loss": start_loss},
-            )
-        )
-
-    def solve_cohort(self, models, shards, w_global, rngs, kernel):
-        """Stacked-cohort FedAvg: ``W <- W - eta G`` on a ``(K, D)`` stack.
+    def _solve_stack(self, models, shards, w_global, rngs, kernel):
+        """FedAvg on a ``(K, D)`` stack: ``W <- W - eta G``.
 
         The anchor diagnostics (full-shard loss/gradient) stay
         per-client calls — shard sizes are heterogeneous — while the
         ``tau``-step minibatch loop runs as stacked kernel evaluations.
         """
-        if kernel is None:
-            return None
-        geometry = self._cohort_geometry(shards)
-        if geometry is None:
-            return None
-        batch, features = geometry
         K = len(shards)
         w_global = np.asarray(w_global, dtype=np.float64)
 
@@ -70,8 +35,7 @@ class FedAvgLocalSolver(LocalSolver):
             start_norms[k] = float(np.linalg.norm(grad))
 
         W = np.repeat(w_global[None, :], K, axis=0)
-        X_batch = np.empty((K, batch, features), dtype=np.float64)
-        y_batch = np.empty((K, batch), dtype=np.intp)
+        X_batch, y_batch = self._minibatch_buffers(shards)
         G = np.empty_like(W)
         T = np.empty_like(W)
         for _ in range(self.num_steps):
@@ -87,7 +51,7 @@ class FedAvgLocalSolver(LocalSolver):
                     w_local=np.array(W[k], dtype=np.float64, copy=True),
                     num_steps=self.num_steps,
                     num_gradient_evaluations=1 + self.num_steps,
-                    start_grad_norm=start_norms[k],
+                    start_grad_norm=float(start_norms[k]),
                     diagnostics={"start_loss": float(start_losses[k])},
                 )
             )

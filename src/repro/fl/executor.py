@@ -6,11 +6,13 @@ concurrently, because each (client, round) pair derives its own RNG
 stream.  The thread-pool executor gives real speedups on models whose
 gradient work releases the GIL inside BLAS (dense/conv GEMMs); it
 requires per-client model instances (see :class:`repro.fl.client.Client`).
-The batched executor goes further for homogeneous convex cohorts: it
-stacks same-architecture clients into ``(K, D)`` parameter blocks and
-runs their inner loops as single vectorized solves
-(:meth:`repro.core.local.base.LocalSolver.solve_cohort`), falling back
-to per-client solves wherever no bit-identical kernel exists.
+The batched executor goes further: it stacks same-architecture
+clients into ``(K, D)`` parameter blocks and runs each cohort's inner
+loops as one stacked solve
+(:meth:`repro.core.local.base.LocalSolver.solve_cohort`).  Every local
+solve runs the solver's one stacked loop — the sequential and thread
+executors at ``K = 1`` — so the executors differ only in how they
+schedule it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from repro.core.local.base import LocalSolveResult
 from repro.fl.client import Client
-from repro.models.batched import cohort_signature, make_batch_kernel
+from repro.models.batched import BatchKernel, cohort_signature, make_batch_kernel
 from repro.obs import telemetry
 from repro.utils.validation import check_positive_int
 
@@ -191,59 +193,43 @@ class ThreadPoolClientExecutor(ClientExecutor):
 class BatchedCohortExecutor(ClientExecutor):
     """Run homogeneous cohorts as single stacked ``(K, D)`` solves.
 
-    Clients are grouped by ``(solver instance, model architecture
-    signature, effective minibatch size)``; each group with a vectorized
-    kernel (:func:`repro.models.batched.make_batch_kernel`) — including
-    singletons, which run the same stacked ops at ``K = 1`` — goes
-    through :meth:`~repro.core.local.base.LocalSolver.solve_cohort` in
-    one call.  Everything else — models without a kernel, solver
-    configurations with data-dependent control flow — falls back to the
-    sequential per-client path.  Either way the results are
-    bit-identical to :class:`SequentialExecutor` on the same seeds; the
-    grouping only changes how the arithmetic is scheduled.
+    Clients are grouped by ``(solver instance, model cohort signature,
+    effective minibatch size)``; each group runs through
+    :meth:`~repro.core.local.base.LocalSolver.solve_cohort` in one call
+    with the kernel of :func:`repro.models.batched.make_batch_kernel`.
+    The results are bit-identical to :class:`SequentialExecutor` on the
+    same seeds; the grouping only changes how the arithmetic is
+    scheduled.
 
     The grouping plan is computed once per distinct client set and
     reused across rounds.  Models may be shared across clients (like the
-    sequential executor): the batched path touches per-client models
-    only in serial anchor/final-gradient loops.
+    sequential executor): a stacked solve calls per-client models one
+    at a time.
     """
 
     def __init__(self) -> None:
         self._plan_clients: Optional[Tuple[int, ...]] = None
-        self._plan: List[Tuple[List[int], Optional[object], str]] = []
+        self._plan: List[Tuple[List[int], BatchKernel, str]] = []
 
     def _build_plan(
         self, clients: Sequence[Client]
-    ) -> List[Tuple[List[int], Optional[object], str]]:
+    ) -> List[Tuple[List[int], BatchKernel, str]]:
         groups: Dict[Hashable, List[int]] = {}
-        signatures: Dict[Hashable, str] = {}
         for i, c in enumerate(clients):
-            sig = cohort_signature(c.model)
-            if sig is None:
-                # No kernel for this architecture -> unconditional singleton.
-                groups.setdefault(("solo", i), []).append(i)
-                signatures[("solo", i)] = "solo"
-                continue
             # A cohort stacks minibatches into one (K, B, features)
             # block, so clients whose shards clamp the minibatch
             # (n_train < batch_size) form size-specific sub-cohorts.
-            batch = getattr(c.solver, "batch_size", None)
-            effective = (
-                min(int(batch), c.data.X_train.shape[0])
-                if batch is not None
-                else None
-            )
-            key = (id(c.solver), sig, effective)
+            effective = min(c.solver.batch_size, c.data.X_train.shape[0])
+            key = (id(c.solver), cohort_signature(c.model), effective)
             groups.setdefault(key, []).append(i)
-            signatures[key] = f"{sig}/B={effective}"
-        plan: List[Tuple[List[int], Optional[object], str]] = []
-        for key, indices in groups.items():
-            # Singleton groups get a K=1 kernel too: the stacked ops run
-            # the same elementary sequence at K=1, and a kernel solve is
-            # cheaper than the allocating per-client path it replaces.
-            kernel = make_batch_kernel([clients[i].model for i in indices])
-            plan.append((indices, kernel, signatures[key]))
-        return plan
+        return [
+            (
+                indices,
+                make_batch_kernel([clients[i].model for i in indices]),
+                f"{sig}/B={effective}",
+            )
+            for (_, sig, effective), indices in groups.items()
+        ]
 
     def run_round(self, clients, w_global, round_index):
         key = tuple(id(c) for c in clients)
@@ -254,49 +240,29 @@ class BatchedCohortExecutor(ClientExecutor):
         traced = telemetry.enabled
         parent = telemetry.current_span() if traced else None
         results: List[Optional[LocalSolveResult]] = [None] * len(clients)
-        batched_count = 0
         for indices, kernel, signature in self._plan:
-            cohort_results = None
-            if kernel is not None:
-                cohort = [clients[i] for i in indices]
-                solver = cohort[0].solver
-                models = [c.model for c in cohort]
-                shards = [(c.data.X_train, c.data.y_train) for c in cohort]
-                rngs = [c.round_rng(round_index) for c in cohort]
-                if traced:
-                    with telemetry.span(
-                        "cohort_solve",
-                        parent=parent,
-                        cohort_size=len(cohort),
-                        signature=signature,
-                        round=round_index,
-                    ):
-                        cohort_results = solver.solve_cohort(
-                            models, shards, w_global, rngs, kernel
-                        )
-                else:
+            cohort = [clients[i] for i in indices]
+            solver = cohort[0].solver
+            models = [c.model for c in cohort]
+            shards = [(c.data.X_train, c.data.y_train) for c in cohort]
+            rngs = [c.round_rng(round_index) for c in cohort]
+            if traced:
+                with telemetry.span(
+                    "cohort_solve",
+                    parent=parent,
+                    cohort_size=len(cohort),
+                    signature=signature,
+                    round=round_index,
+                ):
                     cohort_results = solver.solve_cohort(
                         models, shards, w_global, rngs, kernel
                     )
-            if cohort_results is not None:
-                batched_count += len(indices)
-                for i, result in zip(indices, cohort_results):
-                    results[i] = result
             else:
-                for i in indices:
-                    if traced:
-                        results[i], _ = _traced_update(
-                            clients[i], w_global, round_index, parent
-                        )
-                    else:
-                        results[i] = clients[i].local_update(
-                            w_global, round_index
-                        )
-        if traced:
-            telemetry.counter_add("fl.executor.batched_clients", batched_count)
-            telemetry.counter_add(
-                "fl.executor.fallback_clients", len(clients) - batched_count
-            )
+                cohort_results = solver.solve_cohort(
+                    models, shards, w_global, rngs, kernel
+                )
+            for i, result in zip(indices, cohort_results):
+                results[i] = result
         # Stacked solves have no meaningful per-client wall time.
         self.last_client_seconds = None
         return results

@@ -23,13 +23,16 @@ operation sequence of the 2-D path:
 The one pattern deliberately avoided is replacing a matrix–vector
 product (GEMV) with a width-1 GEMM: the two BLAS routines are not
 guaranteed to share a summation order.  Models whose gradients are
-GEMV-shaped (linear regression, binary SVM) therefore report no cohort
-signature and fall back to per-client solves.
+GEMV-shaped (linear regression, binary SVM) and the CNN therefore get a
+:class:`ModelKernel`, which calls each client's own ``model.gradient``
+on its row — the same arithmetic, one client at a time.
 
-Adding a kernel for a new model: implement :class:`BatchKernel`,
-give the model a signature in :func:`cohort_signature`, and register it
-in :func:`make_batch_kernel`.  The equivalence suite
-(``tests/fl/test_executor_equivalence.py``) is the gate.
+Every cohort has a kernel, so the stacked inner loop is the only local
+solve loop.  Adding a vectorized kernel for a new model: implement
+:class:`BatchKernel`, give the model a signature in
+:func:`cohort_signature`, and register it in :func:`make_batch_kernel`.
+The equivalence suite (``tests/fl/test_executor_equivalence.py``) is the
+gate.
 """
 
 from __future__ import annotations
@@ -39,12 +42,17 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import get_backend
-from repro.exceptions import DimensionMismatchError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.models.base import Model
 from repro.models.logistic import MultinomialLogisticModel
 
-__all__ = ["BatchKernel", "LogisticBatchKernel", "cohort_signature", "make_batch_kernel"]
+__all__ = [
+    "BatchKernel",
+    "LogisticBatchKernel",
+    "ModelKernel",
+    "cohort_signature",
+    "make_batch_kernel",
+]
 
 
 class BatchKernel(ABC):
@@ -80,6 +88,43 @@ class BatchKernel(ABC):
         shape: W (K, D) float64, X_batch (K, B, f) float64, y_batch (K, B) -> (K, D) float64
         """
 
+    def subset(self, rows: Sequence[int]) -> "BatchKernel":
+        """The kernel over clients ``rows`` of this stack, in that order.
+
+        Stacked kernels that hold no per-client state serve any subset
+        as they are.
+        """
+        del rows
+        return self
+
+
+class ModelKernel(BatchKernel):
+    """Per-client kernel: row ``k`` is ``models[k].gradient(W[k], X[k], y[k])``.
+
+    Serves every model without a vectorized kernel, so each client's
+    gradient is its model's own computation, bit for bit.
+    """
+
+    def __init__(self, models: Sequence[Model]) -> None:
+        sizes = {m.num_parameters for m in models}
+        if len(sizes) != 1:
+            raise ConfigurationError(
+                f"a kernel stacks one parameter size, got {sorted(sizes)}"
+            )
+        self.models = list(models)
+        self.num_clients = len(self.models)
+        self.num_parameters = sizes.pop()
+
+    def gradient_stack(self, W, X_batch, y_batch, out=None):
+        if out is None:
+            out = np.empty((len(self.models), self.num_parameters), dtype=np.float64)
+        for k, model in enumerate(self.models):
+            out[k] = model.gradient(W[k], X_batch[k], y_batch[k])
+        return out
+
+    def subset(self, rows):
+        return ModelKernel([self.models[k] for k in rows])
+
 
 class LogisticBatchKernel(BatchKernel):
     """Stacked softmax-regression gradients (the paper's convex MLR task).
@@ -98,11 +143,13 @@ class LogisticBatchKernel(BatchKernel):
         self.num_parameters = model.num_parameters
         self._wsize = self.num_features * self.num_classes
         # Per-(K, B) caches — gather indices for the label subtraction
-        # plus the softmax-chain work buffers — one kernel serves one
-        # cohort, so the geometry is stable after the first call.
+        # plus the scores and softmax-chain work buffers — owned by this
+        # kernel, so concurrent solves never share one.  The geometry
+        # changes only when theta-stopping shrinks the stack.
         self._idx_shape: Optional[tuple] = None
         self._k_idx: Optional[np.ndarray] = None
         self._b_idx: Optional[np.ndarray] = None
+        self._scores: Optional[np.ndarray] = None
         self._G: Optional[np.ndarray] = None
         self._red: Optional[np.ndarray] = None
 
@@ -115,7 +162,6 @@ class LogisticBatchKernel(BatchKernel):
 
     # shape: W (K, D) float64, X_batch (K, B, f) float64, y_batch (K, B) -> (K, D) float64
     def gradient_stack(self, W, X_batch, y_batch, out=None):
-        be = get_backend()
         K, B, f = X_batch.shape
         if W.shape != (K, self.num_parameters) or f != self.num_features:
             raise DimensionMismatchError(
@@ -125,18 +171,17 @@ class LogisticBatchKernel(BatchKernel):
         self.num_clients = K
         W3, b2 = self._views(W)
 
-        scores = be.batched_matmul(
-            X_batch, W3, out=be.scratch((K, B, self.num_classes))
-        )  # (K, B, c)
-        if b2 is not None:
-            scores += b2[:, None, :]
-
         if self._idx_shape != (K, B):
             self._idx_shape = (K, B)
             self._k_idx = np.arange(K)[:, None]
             self._b_idx = np.arange(B)[None, :]
+            self._scores = np.empty((K, B, self.num_classes), dtype=np.float64)
             self._G = np.empty((K, B, self.num_classes), dtype=np.float64)
             self._red = np.empty((K, B, 1), dtype=np.float64)
+
+        scores = np.matmul(X_batch, W3, out=self._scores)  # (K, B, c)
+        if b2 is not None:
+            scores += b2[:, None, :]
 
         # Stable log-softmax + NLL gradient, axis-per-slice identical to
         # SoftmaxCrossEntropy.value_and_grad on each (B, c) slice; the
@@ -160,7 +205,7 @@ class LogisticBatchKernel(BatchKernel):
         out_W, out_b = self._views(out)
         # grad_W = X^T G (+ l2 W when decay is on — skipped at l2 = 0
         # exactly like the sequential model, so both paths agree).
-        be.batched_matmul(np.swapaxes(X_batch, 1, 2), grad_scores, out=out_W)
+        np.matmul(np.swapaxes(X_batch, 1, 2), grad_scores, out=out_W)
         if self.l2:
             out_W += self.l2 * W3
         if out_b is not None:
@@ -168,11 +213,12 @@ class LogisticBatchKernel(BatchKernel):
         return out
 
 
-def cohort_signature(model: Model) -> Optional[Hashable]:
-    """Hashable architecture key, or ``None`` if no batch kernel exists.
+def cohort_signature(model: Model) -> Hashable:
+    """Hashable key: models with equal keys may share a cohort and a kernel.
 
-    Two models may share a cohort (and a kernel) iff their signatures
-    are equal and not ``None``.
+    Models without a vectorized kernel share a cohort when their
+    parameter sizes match; the :class:`ModelKernel` runs each one's own
+    gradient.
     """
     if type(model) is MultinomialLogisticModel:
         return (
@@ -182,17 +228,16 @@ def cohort_signature(model: Model) -> Optional[Hashable]:
             float(model.l2),
             bool(model.fit_intercept),
         )
-    return None
+    return ("per-client", model.num_parameters)
 
 
-def make_batch_kernel(models: Sequence[Model]) -> Optional[BatchKernel]:
-    """A kernel over ``models``, or ``None`` when they cannot be batched."""
+def make_batch_kernel(models: Sequence[Model]) -> BatchKernel:
+    """The kernel over ``models``: vectorized when one exists, else per-client."""
     if not models:
-        return None
-    signatures = {cohort_signature(m) for m in models}
-    if len(signatures) != 1 or None in signatures:
-        return None
+        raise ConfigurationError("a kernel needs at least one model")
     model = models[0]
-    if isinstance(model, MultinomialLogisticModel):
+    if type(model) is MultinomialLogisticModel and all(
+        cohort_signature(m) == cohort_signature(model) for m in models
+    ):
         return LogisticBatchKernel(model)
-    return None
+    return ModelKernel(models)

@@ -1,4 +1,8 @@
-"""Tests for repro.core.estimators."""
+"""Tests for repro.core.estimators.
+
+The estimators run over ``(K, D)`` stacks; a single device's inner loop
+is the stack of one, which is how most properties below are checked.
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from repro.core.estimators import (
 )
 from repro.exceptions import ConfigurationError
 from repro.models import LinearRegressionModel
+from repro.models.batched import make_batch_kernel
+from tests.core.solver_oracle import ORACLE_ESTIMATORS
 
 
 @pytest.fixture()
@@ -21,6 +27,17 @@ def problem():
     y = rng.standard_normal(40)
     w0 = rng.standard_normal(5)
     return model, X, y, w0
+
+
+def start(est, w0, full_grad):
+    """``start_epoch`` for one client; returns its ``v_0``."""
+    return est.start_epoch(w0[None], full_grad[None])[0]
+
+
+def estimate(est, model, X_batch, y_batch, w_t):
+    """One client's ``v_t`` (a copy: the stacked buffer is reused)."""
+    kernel = make_batch_kernel([model])
+    return est.estimate(kernel, X_batch[None], y_batch[None], w_t[None])[0].copy()
 
 
 class TestFactory:
@@ -48,9 +65,9 @@ class TestAnchorExactness:
         model, X, y, w0 = problem
         full = model.gradient(w0, X, y)
         est = make_estimator(name)
-        est.start_epoch(w0, full)
+        start(est, w0, full)
         batch = slice(0, 8)
-        v = est.estimate(model, X[batch], y[batch], w0)
+        v = estimate(est, model, X[batch], y[batch], w0)
         np.testing.assert_allclose(v, full, atol=1e-12)
 
 
@@ -62,13 +79,11 @@ class TestSVRG:
         full0 = model.gradient(w0, X, y)
         w_t = w0 + 0.3
         est = SVRGEstimator()
-        est.start_epoch(w0, full0)
-        estimates = []
-        for i in range(X.shape[0]):
-            # re-anchor so per-sample calls don't mutate state (SVRG is
-            # stateless across estimates, so this is belt-and-braces)
-            v = est.estimate(model, X[i : i + 1], y[i : i + 1], w_t)
-            estimates.append(v)
+        start(est, w0, full0)
+        estimates = [
+            estimate(est, model, X[i : i + 1], y[i : i + 1], w_t)
+            for i in range(X.shape[0])
+        ]
         mean_v = np.mean(estimates, axis=0)
         np.testing.assert_allclose(mean_v, model.gradient(w_t, X, y), atol=1e-10)
 
@@ -78,11 +93,11 @@ class TestSVRG:
 
         def variance(w_t):
             est = SVRGEstimator()
-            est.start_epoch(w0, full0)
+            start(est, w0, full0)
             true = model.gradient(w_t, X, y)
             devs = []
             for i in range(X.shape[0]):
-                v = est.estimate(model, X[i : i + 1], y[i : i + 1], w_t)
+                v = estimate(est, model, X[i : i + 1], y[i : i + 1], w_t)
                 devs.append(np.sum((v - true) ** 2))
             return np.mean(devs)
 
@@ -93,17 +108,23 @@ class TestSVRG:
     def test_estimate_before_start_raises(self, problem):
         model, X, y, w0 = problem
         with pytest.raises(ConfigurationError):
-            SVRGEstimator().estimate(model, X[:2], y[:2], w0)
+            estimate(SVRGEstimator(), model, X[:2], y[:2], w0)
 
     def test_eval_counter(self, problem):
+        """Counts minibatch gradients per client, whatever the stack size."""
         model, X, y, w0 = problem
         est = SVRGEstimator()
-        est.start_epoch(w0, model.gradient(w0, X, y))
-        est.estimate(model, X[:4], y[:4], w0)
-        est.estimate(model, X[:4], y[:4], w0)
+        start(est, w0, model.gradient(w0, X, y))
+        estimate(est, model, X[:4], y[:4], w0)
+        estimate(est, model, X[:4], y[:4], w0)
         assert est.num_evaluations == 4
         est.reset_counter()
         assert est.num_evaluations == 0
+        kernel = make_batch_kernel([model, model, model])
+        W0 = np.stack([w0] * 3)
+        est.start_epoch(W0, np.stack([model.gradient(w0, X, y)] * 3))
+        est.estimate(kernel, np.stack([X[:4]] * 3), np.stack([y[:4]] * 3), W0)
+        assert est.num_evaluations == 2
 
 
 class TestSARAH:
@@ -111,10 +132,10 @@ class TestSARAH:
         model, X, y, w0 = problem
         full0 = model.gradient(w0, X, y)
         est = SARAHEstimator()
-        v0 = est.start_epoch(w0, full0)
+        v0 = start(est, w0, full0)
         w1 = w0 - 0.01 * v0
         batch = slice(3, 9)
-        v1 = est.estimate(model, X[batch], y[batch], w1)
+        v1 = estimate(est, model, X[batch], y[batch], w1)
         expected = (
             model.gradient(w1, X[batch], y[batch])
             - model.gradient(w0, X[batch], y[batch])
@@ -127,11 +148,11 @@ class TestSARAH:
         model, X, y, w0 = problem
         full0 = model.gradient(w0, X, y)
         est = SARAHEstimator()
-        v0 = est.start_epoch(w0, full0)
+        v0 = start(est, w0, full0)
         w1 = w0 - 0.01 * v0
-        v1 = est.estimate(model, X[:5], y[:5], w1)
+        v1 = estimate(est, model, X[:5], y[:5], w1)
         w2 = w1 - 0.01 * v1
-        v2 = est.estimate(model, X[5:10], y[5:10], w2)
+        v2 = estimate(est, model, X[5:10], y[5:10], w2)
         expected = (
             model.gradient(w2, X[5:10], y[5:10])
             - model.gradient(w1, X[5:10], y[5:10])
@@ -144,46 +165,46 @@ class TestSARAH:
         model, X, y, w0 = problem
         full0 = model.gradient(w0, X, y)
         a, b = SARAHEstimator(), SARAHEstimator()
-        a.start_epoch(w0, full0)
-        b.start_epoch(w0 + 1.0, model.gradient(w0 + 1.0, X, y))
-        va = a.estimate(model, X[:5], y[:5], w0 + 0.1)
+        start(a, w0, full0)
+        start(b, w0 + 1.0, model.gradient(w0 + 1.0, X, y))
+        va = estimate(a, model, X[:5], y[:5], w0 + 0.1)
         # interleaved call on b must not affect a's next estimate
-        b.estimate(model, X[:5], y[:5], w0 + 2.0)
+        estimate(b, model, X[:5], y[:5], w0 + 2.0)
         va2_expected = (
             model.gradient(w0 + 0.2, X[5:8], y[5:8])
             - model.gradient(w0 + 0.1, X[5:8], y[5:8])
             + va
         )
-        va2 = a.estimate(model, X[5:8], y[5:8], w0 + 0.2)
+        va2 = estimate(a, model, X[5:8], y[5:8], w0 + 0.2)
         np.testing.assert_allclose(va2, va2_expected, atol=1e-12)
 
     def test_estimate_before_start_raises(self, problem):
         model, X, y, w0 = problem
         with pytest.raises(ConfigurationError):
-            SARAHEstimator().estimate(model, X[:2], y[:2], w0)
+            estimate(SARAHEstimator(), model, X[:2], y[:2], w0)
 
 
 class TestSGD:
     def test_plain_minibatch_gradient(self, problem):
         model, X, y, w0 = problem
         est = SGDEstimator()
-        est.start_epoch(w0, model.gradient(w0, X, y))
+        start(est, w0, model.gradient(w0, X, y))
         w_t = w0 + 0.5
-        v = est.estimate(model, X[:7], y[:7], w_t)
+        v = estimate(est, model, X[:7], y[:7], w_t)
         np.testing.assert_allclose(v, model.gradient(w_t, X[:7], y[:7]))
 
     def test_start_epoch_returns_copy(self, problem):
         model, X, y, w0 = problem
         full = model.gradient(w0, X, y)
         est = SGDEstimator()
-        v = est.start_epoch(w0, full)
+        v = start(est, w0, full)
         v[...] = 0.0
         assert full.any()  # caller's array untouched
 
 
 class TestBatchedEstimators:
     """Stacked estimator recursions: each row must follow the same
-    SVRG/SARAH recursion as a per-client sequential estimator."""
+    SVRG/SARAH recursion as the per-client reference estimator."""
 
     def _stacks(self, seed=0, K=4, D=6):
         rng = np.random.default_rng(seed)
@@ -191,53 +212,21 @@ class TestBatchedEstimators:
         full = rng.standard_normal((K, D))
         return W0, full
 
-    def test_factory_maps_sequential_classes(self):
-        from repro.core.estimators import (
-            BatchedSARAHEstimator,
-            BatchedSGDEstimator,
-            BatchedSVRGEstimator,
-            make_batched_estimator,
-        )
-
-        assert isinstance(make_batched_estimator(SVRGEstimator), BatchedSVRGEstimator)
-        assert isinstance(make_batched_estimator(SARAHEstimator), BatchedSARAHEstimator)
-        assert isinstance(make_batched_estimator(SGDEstimator), BatchedSGDEstimator)
-
-    def test_factory_rejects_unknown(self):
-        from repro.core.estimators import GradientEstimator, make_batched_estimator
-        from repro.exceptions import ConfigurationError
-
-        class Custom(GradientEstimator):
-            name = "custom"
-
-            def start_epoch(self, w0, full_grad):
-                return full_grad
-
-            def estimate(self, model, X, y, w):
-                return w
-
-        with pytest.raises(ConfigurationError):
-            make_batched_estimator(Custom)
-
     def test_start_epoch_returns_anchor_gradients(self):
-        from repro.core.estimators import make_batched_estimator
-
-        for cls in (SVRGEstimator, SARAHEstimator, SGDEstimator):
+        for name in ("svrg", "sarah", "sgd"):
             W0, full = self._stacks()
-            est = make_batched_estimator(cls)
+            est = make_estimator(name)
             np.testing.assert_array_equal(est.start_epoch(W0, full), full)
 
-    def test_rowwise_matches_sequential_recursion(self):
-        """Drive batched and sequential estimators with the same gradient
-        oracle and compare rows bitwise over several steps."""
-        from repro.core.estimators import make_batched_estimator
+    def _drive(self, name, steps, keep_after=None):
+        """Run a stacked and K reference estimators on the same
+        minibatches.  Yields, per step, the stacked ``V``, the running
+        clients' reference ``v_k`` and both evaluation counters."""
         from repro.models import MultinomialLogisticModel
-        from repro.models.batched import make_batch_kernel
 
         rng = np.random.default_rng(7)
         K, B, f, c = 3, 5, 4, 3
         models = [MultinomialLogisticModel(f, c, l2=0.01) for _ in range(K)]
-        kernel = make_batch_kernel(models)
         D = models[0].num_parameters
         W0 = rng.standard_normal((K, D))
         full = np.stack([
@@ -245,20 +234,44 @@ class TestBatchedEstimators:
                                rng.integers(0, c, 8).astype(float))
             for k in range(K)
         ])
+        stacked = make_estimator(name)
+        refs = [ORACLE_ESTIMATORS[name]() for _ in range(K)]
+        V = stacked.start_epoch(W0, full)
+        for k in range(K):
+            refs[k].start_epoch(W0[k].copy(), full[k].copy())
+        rows = list(range(K))
+        W = W0 - 0.1 * V
+        for step in range(steps):
+            if keep_after is not None and step == keep_after[0]:
+                keep = keep_after[1]
+                stacked.keep_rows(keep)
+                rows = [rows[j] for j in keep]
+                W = W[keep]
+            X = rng.standard_normal((len(rows), B, f))
+            y = rng.integers(0, c, size=(len(rows), B)).astype(np.float64)
+            kernel = make_batch_kernel([models[k] for k in rows])
+            V = stacked.estimate(kernel, X, y, W)
+            v_refs = [
+                refs[k].estimate(models[k], X[j], y[j], W[j])
+                for j, k in enumerate(rows)
+            ]
+            yield V, v_refs, refs[rows[0]].num_evaluations, stacked.num_evaluations
+            W = W - 0.1 * V
 
-        for cls in (SVRGEstimator, SARAHEstimator, SGDEstimator):
-            batched = make_batched_estimator(cls)
-            seq = [cls() for _ in range(K)]
-            V = batched.start_epoch(W0, full)
-            for k in range(K):
-                seq[k].start_epoch(W0[k].copy(), full[k].copy())
-            W = W0 - 0.1 * V
-            for _ in range(3):
-                X = rng.standard_normal((K, B, f))
-                y = rng.integers(0, c, size=(K, B)).astype(np.float64)
-                V = batched.estimate(kernel, X, y, W)
-                for k in range(K):
-                    v_k = seq[k].estimate(models[k], X[k], y[k], W[k])
-                    np.testing.assert_array_equal(V[k], v_k, err_msg=cls.__name__)
-                assert batched.num_evaluations == seq[0].num_evaluations
-                W = W - 0.1 * V
+    def test_rowwise_matches_sequential_recursion(self):
+        """Drive stacked and per-client estimators with the same
+        gradient oracle and compare rows bitwise over several steps."""
+        for name in ("svrg", "sarah", "sgd"):
+            for V, v_refs, ref_evals, evals in self._drive(name, steps=3):
+                for j, v_k in enumerate(v_refs):
+                    np.testing.assert_array_equal(V[j], v_k, err_msg=name)
+                assert evals == ref_evals
+
+    def test_keep_rows_continues_each_kept_recursion(self):
+        """Dropping stopped clients mid-loop leaves the others' rows
+        on their own recursions, bit for bit."""
+        for name in ("svrg", "sarah", "sgd"):
+            for V, v_refs, _, _ in self._drive(name, steps=4, keep_after=(2, [0, 2])):
+                assert V.shape[0] == len(v_refs)
+                for j, v_k in enumerate(v_refs):
+                    np.testing.assert_array_equal(V[j], v_k, err_msg=name)

@@ -105,6 +105,16 @@ class TestFedProxVRLocalSolver:
         assert model.loss(result.w_local, X, y) < model.loss(w0, X, y)
         assert result.achieved_accuracy is not None
 
+    def test_estimator_instance_rejected(self):
+        """The solver builds a fresh estimator per inner loop from a name."""
+        from repro.core.estimators import SARAHEstimator
+
+        with pytest.raises(ConfigurationError):
+            FedProxVRLocalSolver(
+                step_size=ETA, num_steps=1, batch_size=4, mu=0.1,
+                estimator=SARAHEstimator(),
+            )
+
     def test_name_reflects_estimator(self):
         solver = FedProxVRLocalSolver(
             step_size=0.1, num_steps=1, batch_size=4, mu=0.0, estimator="svrg"
@@ -226,3 +236,46 @@ class TestGDLocalSolver:
         solver = GDLocalSolver(step_size=1.0 / L, num_steps=500, mu=0.0)
         result = solver.solve(model, X, y, np.zeros(4), rng)
         np.testing.assert_allclose(result.w_local, w_true, atol=1e-3)
+
+
+class TestEverySolverEntryPoint:
+    """``solve`` and ``solve_cohort`` share one implementation per
+    solver; every solver must answer both without recursing."""
+
+    def _solvers(self):
+        from repro.core.algorithms import ALGORITHMS
+        from repro.core.schedules import InverseTimeSchedule, ScheduledSGDLocalSolver
+
+        for name, build in sorted(ALGORITHMS.items()):
+            yield name, build(ETA, 3, 16, 0.1)
+        yield "scheduled-sgd", ScheduledSGDLocalSolver(
+            schedule=InverseTimeSchedule(ETA), num_steps=3, batch_size=16
+        )
+
+    def test_solve_and_solve_cohort(self, convex_problem):
+        from repro.models.batched import make_batch_kernel
+
+        model, X, y, w0 = convex_problem
+        shards = [(X[:30], y[:30]), (X[30:], y[30:])]
+        for name, solver in self._solvers():
+            solo = [
+                solver.solve(model, Xk, yk, w0, np.random.default_rng(k))
+                for k, (Xk, yk) in enumerate(shards)
+            ]
+            cohort = solver.solve_cohort(
+                [model, model], shards, w0,
+                [np.random.default_rng(k) for k in range(2)],
+                make_batch_kernel([model, model]),
+            )
+            assert len(cohort) == 2, name
+            if name != "scheduled-sgd":  # its step counter spans calls
+                for a, b in zip(solo, cohort):
+                    np.testing.assert_array_equal(a.w_local, b.w_local, err_msg=name)
+
+    def test_solver_without_a_loop_is_rejected(self, convex_problem):
+        from repro.core.local import LocalSolver
+
+        model, X, y, w0 = convex_problem
+        bare = LocalSolver(step_size=ETA, num_steps=1, batch_size=4)
+        with pytest.raises(NotImplementedError):
+            bare.solve(model, X, y, w0, np.random.default_rng(0))

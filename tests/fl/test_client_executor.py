@@ -97,6 +97,53 @@ class TestExecutors:
         pool.close()  # must not raise
 
 
+class TestConcurrentStackedSolves:
+    def test_concurrent_mlr_solves_match_sequential(self):
+        """Every local solve runs a K = 1 stacked kernel, so concurrent
+        clients must not share any kernel buffer.  Large shards and a
+        tiny GIL switch interval make threads interleave inside the
+        kernel; the results must still equal the sequential ones."""
+        import sys
+
+        from repro.core.local import FedProxVRLocalSolver
+        from repro.datasets.base import DeviceData
+
+        rng = np.random.default_rng(0)
+        devices = [
+            DeviceData(
+                k,
+                rng.standard_normal((400, 300)),
+                rng.integers(0, 10, 400),
+                rng.standard_normal((2, 300)),
+                rng.integers(0, 10, 2),
+            )
+            for k in range(6)
+        ]
+        solver = FedProxVRLocalSolver(
+            step_size=0.01, num_steps=20, batch_size=256, mu=0.1, estimator="svrg"
+        )
+
+        def clients():
+            return [
+                Client(d.device_id, d, MultinomialLogisticModel(300, 10), solver,
+                       base_seed=1)
+                for d in devices
+            ]
+
+        w0 = MultinomialLogisticModel(300, 10).init_parameters(0)
+        want = SequentialExecutor().run_round(clients(), w0, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolClientExecutor(max_workers=4) as pool:
+                got = pool.run_round(clients(), w0, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        for rs, rp in zip(want, got):
+            assert rs.w_local.tobytes() == rp.w_local.tobytes()
+            assert rs.final_surrogate_grad_norm == rp.final_surrogate_grad_norm
+
+
 class TestThreadPoolSizing:
     def test_default_max_workers_sized_on_first_use(self, tiny_dataset):
         import os

@@ -127,8 +127,8 @@ class TestConvexEquivalence:
 
 
 class TestNonConvexEquivalence:
-    """The paper's CNN has no batch kernel: the batched executor must
-    transparently fall back and still match sequential exactly."""
+    """The paper's CNN has no vectorized kernel: its cohorts stack over
+    the per-client kernel, which must still match sequential exactly."""
 
     def test_cnn_bit_identical(self):
         dataset = make_synthetic(
@@ -184,19 +184,24 @@ class TestBatchedExecutorResults:
             assert rs.final_surrogate_grad_norm == rb.final_surrogate_grad_norm
             assert rs.diagnostics == rb.diagnostics
 
-    def test_theta_stopping_falls_back_identically(self, fig2_dataset):
-        """Data-dependent early stopping has no batched path; the
-        executor's per-client fallback must still match sequential."""
+    def test_theta_stopping_per_client(self, fig2_dataset):
+        """Criterion-(11) stopping is per client inside the stacked
+        loop: clients that stop early leave the cohort's stack while
+        the others go on, and every result still matches sequential."""
         solver = FedProxVRLocalSolver(
             step_size=0.05, num_steps=20, batch_size=16, mu=0.1,
-            estimator="sarah", theta=0.9, check_interval=5,
+            estimator="sarah", theta=0.15, check_interval=5,
         )
         clients, model = self._make_clients(fig2_dataset, solver)
         w0 = model.init_parameters(0)
         seq = SequentialExecutor().run_round(clients, w0, 1)
         bat = BatchedCohortExecutor().run_round(clients, w0, 1)
+        stopped = {r.diagnostics["stopped_early"] for r in seq}
+        assert stopped == {0.0, 1.0}, "want early and late stops in one cohort"
         for rs, rb in zip(seq, bat):
             np.testing.assert_array_equal(rs.w_local, rb.w_local)
+            assert rs.num_steps == rb.num_steps
+            assert rs.num_gradient_evaluations == rb.num_gradient_evaluations
             assert rs.diagnostics == rb.diagnostics
 
     def test_plan_reused_across_rounds(self, fig2_dataset):

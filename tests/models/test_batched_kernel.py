@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionMismatchError
-from repro.models import MultinomialLogisticModel
+from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.models import MultinomialLogisticModel, make_paper_cnn_model
 from repro.models.batched import (
     LogisticBatchKernel,
+    ModelKernel,
     cohort_signature,
     make_batch_kernel,
 )
@@ -79,11 +80,54 @@ class TestCohortSignature:
         ):
             assert cohort_signature(base) != cohort_signature(other)
 
-    def test_gemv_shaped_models_have_no_signature(self):
+    def test_gemv_shaped_models_get_per_client_signature(self):
         """Linear regression gradients are GEMV-shaped; GEMV vs width-1
         GEMM summation order is not guaranteed identical across BLAS
-        builds, so these models must opt out of batching."""
-        assert cohort_signature(LinearRegressionModel(4)) is None
+        builds, so these models share cohorts by parameter size and run
+        their own gradients."""
+        assert cohort_signature(LinearRegressionModel(4)) == ("per-client", 5)
+        assert cohort_signature(LinearRegressionModel(4)) != cohort_signature(
+            LinearRegressionModel(5)
+        )
+
+
+class TestModelKernel:
+    def test_linear_regression_rows_bit_identical(self):
+        rng = np.random.default_rng(3)
+        models = [LinearRegressionModel(6) for _ in range(4)]
+        W = rng.standard_normal((4, 7))
+        X = rng.standard_normal((4, 9, 6))
+        y = rng.standard_normal((4, 9))  # float targets
+        G = make_batch_kernel(models).gradient_stack(W, X, y)
+        for k, model in enumerate(models):
+            np.testing.assert_array_equal(G[k], model.gradient(W[k], X[k], y[k]))
+
+    def test_cnn_rows_bit_identical(self):
+        rng = np.random.default_rng(4)
+        models = [
+            make_paper_cnn_model((1, 8, 8), 3, channel_scale=0.1, seed=k)
+            for k in range(2)
+        ]
+        D = models[0].num_parameters
+        W = rng.standard_normal((2, D)) * 0.1
+        X = rng.standard_normal((2, 5, 64))
+        y = rng.integers(0, 3, size=(2, 5)).astype(np.float64)
+        kernel = make_batch_kernel(models)
+        assert isinstance(kernel, ModelKernel)
+        G = kernel.gradient_stack(W, X, y)
+        for k, model in enumerate(models):
+            np.testing.assert_array_equal(G[k], model.gradient(W[k], X[k], y[k]))
+
+    def test_subset_keeps_named_clients_in_order(self):
+        models = [LinearRegressionModel(3) for _ in range(4)]
+        sub = make_batch_kernel(models).subset([3, 1])
+        assert sub.models == [models[3], models[1]]
+        assert sub.num_clients == 2
+
+    def test_logistic_kernel_serves_any_subset(self):
+        models, _, _, _ = _stack_problem()
+        kernel = make_batch_kernel(models)
+        assert kernel.subset([0, 2]) is kernel
 
 
 class TestMakeBatchKernel:
@@ -91,15 +135,19 @@ class TestMakeBatchKernel:
         models, _, _, _ = _stack_problem()
         assert isinstance(make_batch_kernel(models), LogisticBatchKernel)
 
-    def test_mixed_architectures_get_none(self):
+    def test_mixed_parameter_sizes_rejected(self):
         models = [
             MultinomialLogisticModel(5, 3),
             MultinomialLogisticModel(5, 4),
         ]
-        assert make_batch_kernel(models) is None
+        with pytest.raises(ConfigurationError):
+            make_batch_kernel(models)
 
-    def test_unsupported_model_gets_none(self):
-        assert make_batch_kernel([LinearRegressionModel(4)]) is None
+    def test_unsupported_model_gets_per_client_kernel(self):
+        kernel = make_batch_kernel([LinearRegressionModel(4)])
+        assert isinstance(kernel, ModelKernel)
+        assert kernel.num_parameters == 5
 
-    def test_empty_gets_none(self):
-        assert make_batch_kernel([]) is None
+    def test_empty_cohort_rejected(self):
+        with pytest.raises(ConfigurationError):
+            make_batch_kernel([])

@@ -88,8 +88,6 @@ KNOWN_METRIC_NAMES = frozenset(
         "fl.cohort.lru_hits",
         "fl.cohort.hydrations",
         "fl.cohort.evictions",
-        "fl.executor.batched_clients",
-        "fl.executor.fallback_clients",
         "nn.conv2d.im2col_seconds",
         "nn.conv2d.col2im_seconds",
         "nn.layer.forward_seconds",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.estimators import SARAHEstimator, SVRGEstimator
 from repro.core.local import FedProxVRLocalSolver
 from repro.models import LinearRegressionModel
+from repro.models.batched import make_batch_kernel
 
 
 def make_problem(seed, n=30, d=6):
@@ -87,10 +88,11 @@ class TestEstimatorProperties:
         full0 = model.gradient(w0, X, y)
         w_t = w0 + np.random.default_rng(seed).standard_normal(w0.size) * 0.1
         truth = model.gradient(w_t, X, y)
+        kernel = make_batch_kernel([model])
         for est_cls in (SVRGEstimator, SARAHEstimator):
             est = est_cls()
-            est.start_epoch(w0, full0)
-            v = est.estimate(model, X, y, w_t)
+            est.start_epoch(w0[None], full0[None])
+            v = est.estimate(kernel, X[None], y[None], w_t[None])[0]
             np.testing.assert_allclose(v, truth, atol=1e-10)
 
     @given(st.integers(0, 10_000), st.integers(1, 5))
@@ -99,11 +101,11 @@ class TestEstimatorProperties:
         """Running SARAH with full batches for several steps keeps
         v_t == grad F(w_t): the recursion telescopes exactly."""
         model, X, y, w0 = make_problem(seed)
+        kernel = make_batch_kernel([model])
         est = SARAHEstimator()
-        v = est.start_epoch(w0, model.gradient(w0, X, y))
-        rng = np.random.default_rng(seed)
+        v = est.start_epoch(w0[None], model.gradient(w0, X, y)[None])[0]
         w = w0
         for _ in range(steps):
             w = w - 0.01 * v
-            v = est.estimate(model, X, y, w)
+            v = est.estimate(kernel, X[None], y[None], w[None])[0].copy()
         np.testing.assert_allclose(v, model.gradient(w, X, y), atol=1e-9)

@@ -108,7 +108,6 @@ DEFAULT_HOT_PATH_ROOTS = [
     "solve_cohort",
     "solve",
     "gradient_stack",
-    "loss_stack",
     "im2col",
     "col2im",
     "_gather_minibatches",

@@ -367,8 +367,8 @@ class HotLoopAllocationRule(Rule):
     inner loops, ``im2col``, …).  Allocations that immediately escape —
     into ``list.append``/``extend`` or a ``return``/``yield`` — are the
     collect-results idiom and stay clean; everything else repeated per
-    iteration belongs hoisted, or routed through the backend seam's
-    ``scratch()``/``out=`` forms.
+    iteration belongs hoisted into a buffer allocated once outside the
+    loop and written through ``out=``.
     """
 
     rule_id = "RL903"

@@ -589,8 +589,8 @@ _FLOAT_UFUNCS = {"exp", "log", "log2", "log10", "log1p", "expm1", "sqrt",
 _REDUCTIONS = ("sum", "mean", "prod", "max", "min", "amax", "amin", "std",
                "var", "median", "argmax", "argmin", "all", "any", "count_nonzero")
 
-#: Attribute names treated as matmul regardless of receiver — the
-#: ``repro.backend`` seam (be.matmul / be.batched_matmul) and numpy.
+#: Attribute names treated as matmul regardless of receiver — numpy and
+#: backend-style wrappers (be.matmul / be.batched_matmul).
 _MATMUL_NAMES = ("matmul", "batched_matmul", "dot")
 
 #: Fresh-array calls RL903 flags inside hot loops.  ``asarray`` is
