@@ -186,8 +186,9 @@ class LocalSolver:
 
         Called by every concrete solver just before returning, so
         per-client step/gradient-evaluation counts and the achieved
-        local accuracy ``theta_hat`` are visible between
-        ``RoundRecord`` snapshots.  One attribute check when disabled.
+        local accuracy ``theta_hat`` are visible, not only the cohort
+        means each round's ``RoundRecord`` carries.  One attribute
+        check when disabled.
         """
         if not telemetry.enabled:
             return result

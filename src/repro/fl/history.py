@@ -1,4 +1,8 @@
-"""Training histories: per-round records plus export helpers."""
+"""Training histories: the evaluated rounds' records plus export helpers.
+
+:class:`RoundRecord` lives in :mod:`repro.obs.ledger` so the ledger and
+the monitors can name it; it is re-exported here.
+"""
 
 from __future__ import annotations
 
@@ -6,28 +10,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
-
-@dataclass
-class RoundRecord:
-    """Metrics captured after one global iteration."""
-
-    round_index: int
-    train_loss: float
-    grad_norm: float
-    test_accuracy: float
-    sim_time: float
-    wall_time: float
-    mean_local_steps: float = 0.0
-    mean_gradient_evaluations: float = 0.0
-    mean_achieved_theta: Optional[float] = None
-    #: max − median per-client wall seconds for the round, measured by
-    #: the executor's ``local_solve`` spans; ``None`` when telemetry was
-    #: off (histories written before this field existed load as ``None``)
-    straggler_gap: Optional[float] = None
-    #: FedProx-style Γ̂ gradient-dissimilarity of the round's cohort
-    #: (Σ p̃ₙ‖∇Jₙ(w)‖² over ‖·‖² of the weighted mean norm); ``None`` in
-    #: histories written before repro.obs v2 added the estimate
-    grad_dissimilarity: Optional[float] = None
+from repro.obs.ledger import RoundRecord
 
 
 #: the known RoundRecord field names; :meth:`TrainingHistory.from_dict`

@@ -5,17 +5,17 @@ paper's global objective (2) and its gradient — including the
 stationarity gap ``||grad F_bar(w)||^2`` that Theorem 1 bounds.
 
 Each weighted metric accepts an optional precomputed ``weights`` vector
-(``p_n`` from :meth:`repro.fl.registry.ClientRegistry.weights`, or a
-renormalized :meth:`~repro.fl.registry.ClientRegistry.subset_weights`
-slice for sampled cohorts).  When ``weights`` is given, ``clients`` may
-be any single-pass iterable — the massive-cohort evaluation path streams
-lazily hydrated clients through without ever holding the population in
-memory.  Without ``weights`` the functions recompute ``p_n`` from the
-client objects exactly as before.
+(``p_n`` from :meth:`repro.fl.registry.ClientRegistry.weights`, or the
+estimator weights of a sampled cohort).  When ``weights`` is given,
+``clients`` may be any single-pass iterable — the massive-cohort
+evaluation path streams lazily hydrated clients through without ever
+holding the population in memory.  Without ``weights`` the functions
+recompute ``p_n`` from the client objects exactly as before.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,17 +87,26 @@ def global_gradient_norm(
 
 
 def global_accuracy(
-    model: Model, clients: Iterable[Client], w: np.ndarray, *, split: str = "test"
+    model: Model,
+    clients: Iterable[Client],
+    w: np.ndarray,
+    *,
+    split: str = "test",
+    weights: Optional[np.ndarray] = None,
 ) -> float:
     """Sample-weighted accuracy over all devices' chosen shards.
 
     Devices with empty shards are skipped; weighting is by shard size so
     the value equals pooled accuracy over the concatenated data.
-    ``clients`` may be any single-pass iterable.
+    ``clients`` may be any single-pass iterable.  Optional per-client
+    ``weights`` scale each client's row count, so a sampled cohort
+    passed with inverse-inclusion weights gives a ratio estimator of
+    the population's pooled accuracy.
     """
+    scales = repeat(1) if weights is None else weights
     total_correct = 0.0
     total_samples = 0
-    for c in clients:
+    for c, scale in zip(clients, scales):
         data = c.data
         X, y = (
             (data.X_train, data.y_train)
@@ -106,9 +115,9 @@ def global_accuracy(
         )
         if X.shape[0] == 0:
             continue
-        acc = model.accuracy(w, X, y)
-        total_correct += acc * X.shape[0]
-        total_samples += X.shape[0]
+        rows = scale * X.shape[0]
+        total_correct += model.accuracy(w, X, y) * rows
+        total_samples += rows
     if total_samples == 0:
         return float("nan")
     return total_correct / total_samples
@@ -148,9 +157,9 @@ def heterogeneity_sigma_bar_sq(
     guards the denominator near stationary points.
 
     Under partial participation pass the sampled cohort together with
-    ``registry.subset_weights(selected)`` — the renormalized exact
-    ``p_n`` keep the estimator consistent with the full-population
-    value.
+    its exact ``p_n`` renormalized over the cohort, which keeps the
+    estimator consistent with the full-population value for a uniform
+    sample.
     """
     clients, p = _resolve(clients, weights)
     grads = [

@@ -121,19 +121,6 @@ class ClientRegistry:
             self._weights = sizes / sizes.sum()
         return self._weights
 
-    def subset_weights(self, indices: Sequence[int]) -> np.ndarray:
-        """Weights of a sampled cohort, renormalized to sum to one.
-
-        The sampling-correct way to estimate population-weighted
-        quantities (global loss, ``sigma_bar^2``) from ``K`` hydrated
-        clients: restrict the exact ``p_n`` to the sample and rescale.
-        """
-        sub = self.weights()[np.asarray(indices, dtype=np.int64)]
-        total = sub.sum()
-        if total <= 0.0:
-            raise ConfigurationError("subset weights sum to zero")
-        return sub / total
-
     def virtual(self, index: int) -> "VirtualClient":
         """The lightweight handle for registered client ``index``."""
         if not 0 <= index < self.size:

@@ -75,7 +75,7 @@ class FederatedRunConfig:
     :class:`~repro.datasets.base.LazyFederatedDataset` inputs);
     ``lru_capacity`` bounds the hydrated-client pool (``None`` sizes it
     automatically); ``max_eval_clients`` caps the metrics pass at a
-    weighted client sample; ``smoothness_probe_devices`` bounds how many
+    per-round sample of that many draws ∝ ``p_n``; ``smoothness_probe_devices`` bounds how many
     shards the lazy path concatenates to estimate ``L`` (federations at
     or below the bound reproduce the eager estimate exactly).
     """

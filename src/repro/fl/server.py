@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import asdict
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.metrics import global_accuracy, global_loss_and_gradient_norm
 from repro.fl.registry import ClientRegistry, EagerClientPool, LazyClientPool
 from repro.models.base import Model
-from repro.obs import RoundObservation, telemetry
+from repro.obs import telemetry
 from repro.utils.rng import SeedLike, as_generator, derive_generator
 from repro.utils.timing import SimulatedClock
 from repro.utils.validation import check_in_range, check_positive_int
@@ -115,36 +114,43 @@ class FederatedServer:
         k = max(1, int(round(self.client_fraction * n)))
         return sorted(self._rng.choice(n, size=k, replace=False).tolist())
 
-    def _eval_cohort(self) -> Tuple[Iterable[Client], np.ndarray]:
-        """Clients + weights for a metrics pass.
+    def _eval_cohort(
+        self, round_index: int
+    ) -> Tuple[Sequence[int], np.ndarray, Optional[np.ndarray]]:
+        """Client indices + loss weights + accuracy weights for one eval.
 
-        Default: the full population streamed through the pool with the
-        exact registry weights (bit-identical to the historical walk).
-        With ``eval_client_cap < N``: a weighted sample drawn from a
-        dedicated RNG stream (independent of the round-selection
-        stream), with the sampled clients' exact weights renormalized —
-        the sampling-consistent estimator of the population metrics.
+        Default: the full population with the exact registry weights
+        ``p_n`` and unweighted pooled accuracy (bit-identical to the
+        historical walk).  With ``eval_client_cap < N``: the sampling
+        scheme of FedProx's Algorithm 2 — ``cap`` draws ∝ ``p_n`` *with*
+        replacement from a per-round stream independent of the
+        round-selection stream.  Each distinct client gets loss weight
+        count/cap (the Hansen–Hurwitz estimator of ``Σ p_n f_n``) and
+        accuracy weight count/p_n, which scales its test rows into a
+        ratio estimator of the pooled accuracy.
         """
         n = self.registry.size
         cap = self.eval_client_cap
         if cap is None or cap >= n:
-            indices: Sequence[int] = range(n)
-            weights = self._weights
-        else:
-            entropy = (
-                self._seed.entropy
-                if isinstance(self._seed, np.random.SeedSequence)
-                else self._seed
-            )
-            rng = derive_generator(entropy, _EVAL_STREAM)
-            indices = np.sort(
-                rng.choice(n, size=cap, replace=False, p=self._weights)
-            ).tolist()
-            weights = self.registry.subset_weights(indices)
-        return self._pool.iter_clients(indices), weights
+            return range(n), self._weights, None
+        entropy = (
+            self._seed.entropy
+            if isinstance(self._seed, np.random.SeedSequence)
+            else self._seed
+        )
+        rng = derive_generator(entropy, _EVAL_STREAM, round_index)
+        draws = rng.choice(n, size=cap, replace=True, p=self._weights)
+        indices, counts = np.unique(draws, return_counts=True)
+        return indices.tolist(), counts / cap, counts / self._weights[indices]
 
-    def run_round(self, w_global: np.ndarray, round_index: int) -> dict:
-        """One global iteration; returns aggregation + diagnostics."""
+    def run_round(
+        self, w_global: np.ndarray, round_index: int
+    ) -> Tuple[np.ndarray, RoundRecord]:
+        """One global iteration: the aggregated ``w`` and the round's record.
+
+        The record's evaluation fields are left ``None``; :meth:`train`
+        fills them on evaluated rounds.
+        """
         selected = self._select_round_clients()
         participants = self._pool.hydrate(selected)
         results = self.executor.run_round(participants, w_global, round_index)
@@ -208,18 +214,17 @@ class FederatedServer:
                     "fl.round.grad_dissimilarity", grad_dissimilarity
                 )
 
-        return {
-            "w": w_new,
-            "selected": selected,
-            "results": results,
-            "mean_local_steps": float(np.mean([r.num_steps for r in results])),
-            "mean_gradient_evaluations": float(
+        return w_new, RoundRecord(
+            round_index=round_index,
+            sim_time=self.clock.elapsed,
+            mean_local_steps=float(np.mean([r.num_steps for r in results])),
+            mean_gradient_evaluations=float(
                 np.mean([r.num_gradient_evaluations for r in results])
             ),
-            "mean_achieved_theta": float(np.mean(thetas)) if thetas else None,
-            "straggler_gap": straggler_gap,
-            "grad_dissimilarity": grad_dissimilarity,
-        }
+            mean_achieved_theta=float(np.mean(thetas)) if thetas else None,
+            straggler_gap=straggler_gap,
+            grad_dissimilarity=grad_dissimilarity,
+        )
 
     def train(
         self,
@@ -242,15 +247,17 @@ class FederatedServer:
         the final round).  Divergent runs (non-finite loss) stop early
         with the divergence recorded rather than raising.
 
-        ``ledger`` (a :class:`repro.obs.RunLedger`) durably commits one
-        record per round — a full :class:`RoundRecord` payload on
-        evaluated rounds, the cheap executor diagnostics otherwise.
-        ``monitors`` (a :class:`repro.obs.MonitorSuite`) sees every
-        round's :class:`repro.obs.RoundObservation`; in fail-fast mode
-        its :class:`repro.obs.MonitorFailFast` propagates out of this
-        method after the triggering round has been committed.  Both are
-        pure observers — no RNG or aggregation arithmetic depends on
-        them, so results are bit-identical with or without them.
+        Each round is one :class:`RoundRecord`: :meth:`run_round`
+        builds it, evaluated rounds fill its metrics, and the same
+        object goes to the history (evaluated rounds only), to
+        ``ledger`` (a :class:`repro.obs.RunLedger`, which durably
+        commits every round) and to ``monitors`` (a
+        :class:`repro.obs.MonitorSuite`).  In fail-fast mode the suite's
+        :class:`repro.obs.MonitorFailFast` propagates out of this method
+        after the triggering round has been committed.  Ledger and
+        monitors are pure observers — no RNG or aggregation arithmetic
+        depends on them, so results are bit-identical with or without
+        them.
         """
         check_positive_int("num_rounds", num_rounds)
         check_positive_int("eval_every", eval_every)
@@ -262,37 +269,28 @@ class FederatedServer:
         w = np.array(w0, dtype=np.float64, copy=True)
         start = time.perf_counter()
         for s in range(1, num_rounds + 1):
-            diverged = False
-            record: Optional[RoundRecord] = None
             with telemetry.span("round", s=s):
-                outcome = self.run_round(w, s)
-                w = outcome["w"]
+                w, record = self.run_round(w, s)
                 if s % eval_every == 0 or s == num_rounds:
                     with telemetry.span("eval", s=s):
-                        eval_clients, eval_weights = self._eval_cohort()
+                        indices, weights, acc_weights = self._eval_cohort(s)
                         loss, grad_norm = global_loss_and_gradient_norm(
                             self.eval_model,
-                            eval_clients,
+                            self._pool.iter_clients(indices),
                             w,
-                            weights=eval_weights,
+                            weights=weights,
                         )
-                        eval_clients, _ = self._eval_cohort()
-                        acc = global_accuracy(self.eval_model, eval_clients, w)
-                    record = RoundRecord(
-                        round_index=s,
-                        train_loss=loss,
-                        grad_norm=grad_norm,
-                        test_accuracy=acc,
-                        sim_time=self.clock.elapsed,
-                        wall_time=time.perf_counter() - start,
-                        mean_local_steps=outcome["mean_local_steps"],
-                        mean_gradient_evaluations=outcome[
-                            "mean_gradient_evaluations"
-                        ],
-                        mean_achieved_theta=outcome["mean_achieved_theta"],
-                        straggler_gap=outcome["straggler_gap"],
-                        grad_dissimilarity=outcome["grad_dissimilarity"],
-                    )
+                        acc = global_accuracy(
+                            self.eval_model,
+                            self._pool.iter_clients(indices),
+                            w,
+                            weights=acc_weights,
+                        )
+                    record.train_loss = loss
+                    record.grad_norm = grad_norm
+                    record.test_accuracy = acc
+                record.wall_time = time.perf_counter() - start
+                if record.evaluated:
                     history.append(record)
                     if verbose:
                         print(
@@ -300,43 +298,11 @@ class FederatedServer:
                             f"loss {loss:10.5f}  acc {acc:6.4f}  "
                             f"|grad| {grad_norm:9.4f}"
                         )
-                    diverged = not np.isfinite(loss)
             telemetry.round_finished(s)
             if ledger is not None:
-                if record is not None:
-                    payload = asdict(record)
-                else:
-                    payload = {
-                        "round_index": s,
-                        "mean_local_steps": outcome["mean_local_steps"],
-                        "mean_gradient_evaluations": outcome[
-                            "mean_gradient_evaluations"
-                        ],
-                        "mean_achieved_theta": outcome["mean_achieved_theta"],
-                        "straggler_gap": outcome["straggler_gap"],
-                        "grad_dissimilarity": outcome["grad_dissimilarity"],
-                        "sim_time": self.clock.elapsed,
-                    }
-                ledger.commit_round(
-                    s,
-                    payload,
-                    evaluated=record is not None,
-                    sim_time=self.clock.elapsed,
-                )
+                ledger.commit_round(record)
             if monitors is not None:
-                monitors.observe_round(
-                    RoundObservation(
-                        round_index=s,
-                        train_loss=record.train_loss if record else None,
-                        grad_norm=record.grad_norm if record else None,
-                        test_accuracy=record.test_accuracy if record else None,
-                        mean_achieved_theta=outcome["mean_achieved_theta"],
-                        straggler_gap=outcome["straggler_gap"],
-                        grad_dissimilarity=outcome["grad_dissimilarity"],
-                        sim_time=self.clock.elapsed,
-                        evaluated=record is not None,
-                    )
-                )
-            if diverged:
+                monitors.observe_round(record)
+            if record.evaluated and not np.isfinite(record.train_loss):
                 break
         return history, w

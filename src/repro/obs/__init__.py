@@ -19,7 +19,8 @@ Reporting
     hotspot summary from a JSONL trace (``repro obs-report``).
 Run ledger (v2)
     :class:`RunLedger` / :class:`LedgerReader` — append-only,
-    crash-safe ``repro.ledger/v1`` JSONL with monotonic cursors.
+    crash-safe ``repro.ledger/v1`` JSONL with monotonic cursors, one
+    committed :class:`RoundRecord` per round.
 Runtime monitors (v2)
     :class:`MonitorSuite` and the detectors behind
     :func:`default_monitor_suite` (Theorem-1 contraction, θ drift,
@@ -31,7 +32,13 @@ Cross-run analytics (v2)
 
 from repro.obs.diff import diff_ledgers, render_diff
 from repro.obs.facade import SCHEMA, Telemetry, telemetry
-from repro.obs.ledger import LEDGER_SCHEMA, LedgerError, LedgerReader, RunLedger
+from repro.obs.ledger import (
+    LEDGER_SCHEMA,
+    LedgerError,
+    LedgerReader,
+    RoundRecord,
+    RunLedger,
+)
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -50,7 +57,6 @@ from repro.obs.monitors import (
     Alert,
     MonitorFailFast,
     MonitorSuite,
-    RoundObservation,
     default_monitor_suite,
 )
 from repro.obs.trace import NOOP_SPAN, NoopSpan, Span, Tracer
@@ -72,7 +78,7 @@ __all__ = [
     "MonitorSuite",
     "NOOP_SPAN",
     "NoopSpan",
-    "RoundObservation",
+    "RoundRecord",
     "RunLedger",
     "SCHEMA",
     "Sink",

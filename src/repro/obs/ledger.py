@@ -18,7 +18,8 @@ Event types (one JSON object per line):
     RNG entropy, platform triple, package digest.
 ``round``
     one committed round: ``cursor``, ``round``, ``evaluated``,
-    ``record`` (the round's metric payload), ``sim_time``.
+    ``record`` (``asdict`` of the round's :class:`RoundRecord`),
+    ``sim_time``.
 ``alert``
     a structured monitor alert (see :mod:`repro.obs.monitors`).
 ``hotspots``
@@ -40,12 +41,14 @@ import platform
 import sys
 import threading
 import time
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 __all__ = [
     "LEDGER_SCHEMA",
     "LedgerError",
     "LedgerReader",
+    "RoundRecord",
     "RunLedger",
     "package_digest",
 ]
@@ -55,6 +58,40 @@ LEDGER_SCHEMA = "repro.ledger/v1"
 
 #: event types every ``repro.ledger/v1`` consumer must understand
 EVENT_TYPES = ("manifest", "round", "alert", "hotspots", "end")
+
+
+@dataclass
+class RoundRecord:
+    """One global iteration: the single per-round shape.
+
+    The server builds it after aggregation with the evaluation fields
+    left ``None``; on evaluated rounds training fills ``train_loss``,
+    ``grad_norm`` and ``test_accuracy``.  The same object goes to the
+    history (evaluated rounds only), the ledger and the monitors.
+    """
+
+    round_index: int
+    train_loss: Optional[float] = None
+    grad_norm: Optional[float] = None
+    test_accuracy: Optional[float] = None
+    sim_time: float = 0.0
+    wall_time: Optional[float] = None
+    mean_local_steps: float = 0.0
+    mean_gradient_evaluations: float = 0.0
+    mean_achieved_theta: Optional[float] = None
+    #: max − median per-client wall seconds for the round, measured by
+    #: the executor's ``local_solve`` spans; ``None`` when telemetry was
+    #: off (histories written before this field existed load as ``None``)
+    straggler_gap: Optional[float] = None
+    #: FedProx-style Γ̂ gradient-dissimilarity of the round's cohort
+    #: (Σ p̃ₙ‖∇Jₙ(w)‖² over ‖·‖² of the weighted mean norm); ``None`` in
+    #: histories written before repro.obs v2 added the estimate
+    grad_dissimilarity: Optional[float] = None
+
+    @property
+    def evaluated(self) -> bool:
+        """Whether the global metrics were measured this round."""
+        return self.train_loss is not None
 
 
 class LedgerError(ValueError):
@@ -149,14 +186,7 @@ class RunLedger:
             self._manifest_written = True
             self._write(event, durable=True)
 
-    def commit_round(
-        self,
-        round_index: int,
-        record: Dict[str, Any],
-        *,
-        evaluated: bool = True,
-        sim_time: Optional[float] = None,
-    ) -> int:
+    def commit_round(self, record: RoundRecord) -> int:
         """Durably commit one round's record; returns its cursor."""
         with self._lock:
             self._cursor += 1
@@ -164,10 +194,10 @@ class RunLedger:
             event = {
                 "type": "round",
                 "cursor": self._cursor,
-                "round": int(round_index),
-                "evaluated": bool(evaluated),
-                "sim_time": sim_time,
-                "record": dict(record),
+                "round": int(record.round_index),
+                "evaluated": record.evaluated,
+                "sim_time": record.sim_time,
+                "record": asdict(record),
             }
             self._write(event, durable=True)
             return self._cursor

@@ -1,10 +1,11 @@
 """Streaming runtime monitors: does the run track the theory?
 
-Each monitor consumes one :class:`RoundObservation` per round (built
-from data the server already computes — no extra arithmetic touches
-the training path, so bit-identity on/off is structural) and may emit
-a structured alert.  The :class:`MonitorSuite` fans observations out,
-writes alerts into the run ledger, and optionally fails fast.
+Each monitor consumes the :class:`~repro.obs.ledger.RoundRecord` that
+the server commits each round (data the server already computes — no
+extra arithmetic touches the training path, so bit-identity on/off is
+structural) and may emit a structured alert.  The :class:`MonitorSuite`
+fans records out, writes alerts into the run ledger, and optionally
+fails fast.
 
 The Theorem-1 monitor duplicates the paper's contraction factor in
 stdlib ``math`` rather than importing :mod:`repro.core.theory`
@@ -20,12 +21,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.ledger import RoundRecord
+
 __all__ = [
     "Alert",
     "DivergenceTripwire",
     "MonitorFailFast",
     "MonitorSuite",
-    "RoundObservation",
     "SigmaDriftMonitor",
     "StragglerAnomalyMonitor",
     "TheoremOneMonitor",
@@ -37,21 +39,6 @@ __all__ = [
 
 class MonitorFailFast(RuntimeError):
     """Raised by a fail-fast :class:`MonitorSuite` on an error alert."""
-
-
-@dataclass
-class RoundObservation:
-    """One round's worth of monitor inputs (all already computed)."""
-
-    round_index: int
-    train_loss: Optional[float] = None
-    grad_norm: Optional[float] = None
-    test_accuracy: Optional[float] = None
-    mean_achieved_theta: Optional[float] = None
-    straggler_gap: Optional[float] = None
-    grad_dissimilarity: Optional[float] = None
-    sim_time: Optional[float] = None
-    evaluated: bool = True
 
 
 @dataclass
@@ -156,10 +143,10 @@ class TheoremOneMonitor:
             mu, theta, L, lam=lam, sigma_sq=sigma_sq
         )
 
-    def observe(self, obs: RoundObservation) -> Optional[Alert]:
-        loss = obs.train_loss
-        if loss is None or not obs.evaluated:
+    def observe(self, record: RoundRecord) -> Optional[Alert]:
+        if not record.evaluated:
             return None
+        loss = record.train_loss
         if not math.isfinite(loss):
             # leave the divergence tripwire to report non-finite losses
             self._prev_loss = loss
@@ -196,7 +183,7 @@ class TheoremOneMonitor:
         evidence["blowup"] = blown
         return Alert(
             monitor=self.name,
-            round_index=obs.round_index,
+            round_index=record.round_index,
             severity="error",
             message=(
                 "objective increased "
@@ -227,8 +214,8 @@ class ThetaDriftMonitor:
         self.target_theta: Optional[float] = None
         self._baseline: List[float] = []
 
-    def observe(self, obs: RoundObservation) -> Optional[Alert]:
-        theta_hat = obs.mean_achieved_theta
+    def observe(self, record: RoundRecord) -> Optional[Alert]:
+        theta_hat = record.mean_achieved_theta
         if theta_hat is None or not math.isfinite(theta_hat):
             return None
         if len(self._baseline) < self.baseline_rounds:
@@ -241,7 +228,7 @@ class ThetaDriftMonitor:
             return None
         return Alert(
             monitor=self.name,
-            round_index=obs.round_index,
+            round_index=record.round_index,
             severity="warning",
             message=(
                 f"achieved theta {theta_hat:.4g} drifted past "
@@ -274,8 +261,8 @@ class SigmaDriftMonitor:
         self.drift_factor = drift_factor
         self._baseline: List[float] = []
 
-    def observe(self, obs: RoundObservation) -> Optional[Alert]:
-        gamma = obs.grad_dissimilarity
+    def observe(self, record: RoundRecord) -> Optional[Alert]:
+        gamma = record.grad_dissimilarity
         if gamma is None or not math.isfinite(gamma):
             return None
         if len(self._baseline) < self.baseline_rounds:
@@ -287,7 +274,7 @@ class SigmaDriftMonitor:
             return None
         return Alert(
             monitor=self.name,
-            round_index=obs.round_index,
+            round_index=record.round_index,
             severity="warning",
             message=(
                 f"gradient dissimilarity {gamma:.4g} drifted past "
@@ -309,8 +296,8 @@ class DivergenceTripwire:
     def __init__(self, *, loss_ceiling: float = 1e8) -> None:
         self.loss_ceiling = loss_ceiling
 
-    def observe(self, obs: RoundObservation) -> Optional[Alert]:
-        loss = obs.train_loss
+    def observe(self, record: RoundRecord) -> Optional[Alert]:
+        loss = record.train_loss
         if loss is None:
             return None
         if math.isfinite(loss) and abs(loss) <= self.loss_ceiling:
@@ -318,7 +305,7 @@ class DivergenceTripwire:
         kind = "non-finite" if not math.isfinite(loss) else "exploded"
         return Alert(
             monitor=self.name,
-            round_index=obs.round_index,
+            round_index=record.round_index,
             severity="error",
             message=f"training loss is {kind}: {loss!r}",
             evidence={"loss": loss, "loss_ceiling": self.loss_ceiling},
@@ -350,8 +337,8 @@ class StragglerAnomalyMonitor:
         self.min_gap = min_gap
         self._history: List[float] = []
 
-    def observe(self, obs: RoundObservation) -> Optional[Alert]:
-        gap = obs.straggler_gap
+    def observe(self, record: RoundRecord) -> Optional[Alert]:
+        gap = record.straggler_gap
         if gap is None or not math.isfinite(gap):
             return None
         alert = None
@@ -363,7 +350,7 @@ class StragglerAnomalyMonitor:
             if gap > limit and gap > self.min_gap:
                 alert = Alert(
                     monitor=self.name,
-                    round_index=obs.round_index,
+                    round_index=record.round_index,
                     severity="warning",
                     message=(
                         f"straggler gap {gap:.4g}s is an outlier "
@@ -411,13 +398,13 @@ class MonitorSuite:
             if hasattr(monitor, "target_theta"):
                 monitor.target_theta = theta
 
-    def observe_round(self, obs: RoundObservation) -> List[Alert]:
+    def observe_round(self, record: RoundRecord) -> List[Alert]:
         """Evaluate all monitors for one round; may raise on fail-fast."""
         from repro.obs.facade import telemetry
 
         fired: List[Alert] = []
         for monitor in self.monitors:
-            alert = monitor.observe(obs)
+            alert = monitor.observe(record)
             if alert is None:
                 continue
             fired.append(alert)

@@ -78,13 +78,17 @@ class TestClientFractionBounds:
         with pytest.raises(Exception):
             build(tiny_dataset, client_fraction=0.0)
 
-    def test_tiny_fraction_selects_one(self, tiny_dataset):
+    def test_tiny_fraction_selects_one(self, tiny_dataset, record_cohorts):
         server, model = build(tiny_dataset, client_fraction=1e-6)
-        outcome = server.run_round(model.init_parameters(0), 1)
-        assert len(outcome["selected"]) == 1
+        cohorts = record_cohorts(server)
+        server.run_round(model.init_parameters(0), 1)
+        assert len(cohorts) == 1 and len(cohorts[0]) == 1
 
-    def test_selection_varies_across_rounds(self, tiny_dataset):
+    def test_selection_varies_across_rounds(self, tiny_dataset, record_cohorts):
         server, model = build(tiny_dataset, client_fraction=0.5, seed=1)
         w = model.init_parameters(0)
-        selections = {tuple(server.run_round(w, s)["selected"]) for s in range(8)}
-        assert len(selections) > 1
+        cohorts = record_cohorts(server)
+        for s in range(8):
+            server.run_round(w, s)
+        assert len(cohorts) == 8
+        assert len(set(cohorts)) > 1

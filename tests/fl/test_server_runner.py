@@ -59,10 +59,13 @@ class TestFederatedServer:
         with pytest.raises(ConfigurationError):
             server.train(model.init_parameters(0), 1)
 
-    def test_client_sampling(self, tiny_dataset):
+    def test_client_sampling(self, tiny_dataset, record_cohorts):
         server, model = build_server(tiny_dataset, client_fraction=0.5, seed=0)
-        outcome = server.run_round(model.init_parameters(0), 1)
-        assert len(outcome["selected"]) == max(1, round(0.5 * tiny_dataset.num_devices))
+        cohorts = record_cohorts(server)
+        server.run_round(model.init_parameters(0), 1)
+        assert [len(c) for c in cohorts] == [
+            max(1, round(0.5 * tiny_dataset.num_devices))
+        ]
 
     def test_custom_aggregator(self, tiny_dataset):
         server, model = build_server(

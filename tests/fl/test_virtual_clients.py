@@ -131,13 +131,6 @@ class TestRegistry:
         np.testing.assert_array_equal(registry.weights(), sizes / sizes.sum())
         assert registry.weights().sum() == pytest.approx(1.0)
 
-    def test_subset_weights_renormalized(self, eager_dataset):
-        registry = ClientRegistry.from_dataset(eager_dataset)
-        sub = registry.subset_weights([0, 3, 5])
-        full = registry.weights()[[0, 3, 5]]
-        np.testing.assert_allclose(sub, full / full.sum())
-        assert sub.sum() == pytest.approx(1.0)
-
     def test_total_train(self, eager_dataset):
         registry = ClientRegistry.from_dataset(eager_dataset)
         assert registry.total_train == sum(

@@ -241,6 +241,7 @@ def validate_ledger_file(path: str) -> List[str]:
         )
     prev_cursor = -1
     prev_round = 0
+    record_keys: Optional[frozenset] = None
     for i, event in enumerate(events):
         where = f"{path}: event {i}"
         etype = event.get("type")
@@ -268,8 +269,27 @@ def validate_ledger_file(path: str) -> List[str]:
                 )
             else:
                 prev_round = rnd
-            if not isinstance(event.get("record"), dict):
+            record = event.get("record")
+            if not isinstance(record, dict):
                 errors.append(f"{where}: round event missing 'record'")
+            else:
+                # one record shape: evaluated or not, every round commits
+                # the same fields, with null metrics when unevaluated
+                keys = frozenset(record)
+                if record_keys is None:
+                    record_keys = keys
+                elif keys != record_keys:
+                    errors.append(
+                        f"{where}: record fields differ from the first "
+                        f"round's: {sorted(keys ^ record_keys)}"
+                    )
+                evaluated = record.get("train_loss") is not None
+                if event.get("evaluated") is not evaluated:
+                    errors.append(
+                        f"{where}: evaluated={event.get('evaluated')!r} "
+                        f"but record train_loss is "
+                        f"{record.get('train_loss')!r}"
+                    )
         if etype == "alert":
             for field in ("monitor", "severity", "message"):
                 if not isinstance(event.get(field), str):

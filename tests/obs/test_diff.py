@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.diff import diff_ledgers, render_diff
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import RoundRecord, RunLedger
 
 
 def write_ledger(
@@ -21,14 +21,13 @@ def write_ledger(
     ledger.write_manifest(dict(config or {"algorithm": "fedavg", "seed": 1}))
     for s, loss in enumerate(losses, start=1):
         ledger.commit_round(
-            s,
-            {
-                "round_index": s,
-                "train_loss": loss,
-                "grad_norm": loss / 2.0,
-                "wall_time": wall_time,
-            },
-            sim_time=float(s),
+            RoundRecord(
+                round_index=s,
+                train_loss=loss,
+                grad_norm=loss / 2.0,
+                sim_time=float(s),
+                wall_time=wall_time,
+            )
         )
     for i in range(alerts):
         ledger.alert(len(losses), "divergence", f"alert {i}")

@@ -9,6 +9,8 @@ profiling hook produces per-layer timings only when asked.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,12 @@ from repro.obs import (
     InMemorySink,
     JsonlSink,
     LedgerReader,
+    MonitorSuite,
     RunLedger,
     default_monitor_suite,
     telemetry,
 )
+from repro.obs.monitors import DivergenceTripwire
 from repro.obs.report import render_report
 from tests.obs.schema_validator import validate_file, validate_ledger_file
 
@@ -130,6 +134,43 @@ class TestDisabledRunUnchanged:
         assert history_off.series("train_loss") == history_on.series("train_loss")
 
 
+class TestTracedAlerts:
+    def test_alert_counter_is_a_registered_metric(
+        self, tiny_dataset, tiny_model_factory, tmp_path
+    ):
+        # a loss ceiling below any real loss makes every round "diverge"
+        path = tmp_path / "trace.jsonl"
+        sink = InMemorySink()
+        monitors = MonitorSuite([DivergenceTripwire(loss_ceiling=1e-12)])
+        telemetry.configure([JsonlSink(str(path)), sink])
+        try:
+            run_federated(
+                tiny_dataset, tiny_model_factory, _config(),
+                monitors=monitors,
+            )
+        finally:
+            telemetry.shutdown()
+        assert len(monitors.alerts) == 4
+        assert validate_file(str(path)) == []
+        metrics = sink.by_type("run_summary")[0]["metrics"]
+        alert_ids = [m for m in metrics if "monitor.alerts" in m]
+        assert alert_ids == ["obs.monitor.alerts{divergence}"]
+        assert metrics[alert_ids[0]]["total"] == 4
+
+
+class RecordingMonitor:
+    """A monitor that keeps every record it is handed and never fires."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.seen = []
+
+    def observe(self, record):
+        self.seen.append(record)
+        return None
+
+
 class TestLedgeredRun:
     def _run(self, dataset, factory, tmp_path, **config_overrides):
         path = tmp_path / "run.ledger.jsonl"
@@ -177,19 +218,40 @@ class TestLedgeredRun:
             LedgerReader(path).rounds()[0]["record"]["grad_dissimilarity"]
         )
 
-    def test_unevaluated_rounds_commit_light_records(
+    def test_every_round_is_one_record(
         self, tiny_dataset, tiny_model_factory, tmp_path
     ):
-        _, _, path, _ = self._run(
-            tiny_dataset, tiny_model_factory, tmp_path, eval_every=2
+        path = str(tmp_path / "run.ledger.jsonl")
+        recorder = RecordingMonitor()
+        monitors = default_monitor_suite()
+        monitors.monitors.append(recorder)
+        history, _ = run_federated(
+            tiny_dataset, tiny_model_factory, _config(eval_every=2),
+            ledger=RunLedger(path), monitors=monitors,
         )
-        reader = LedgerReader(path)
-        by_round = {e["round"]: e for e in reader.rounds()}
-        assert set(by_round) == {1, 2, 3, 4}
-        assert not by_round[1]["evaluated"]
-        assert by_round[2]["evaluated"]
-        assert "train_loss" not in by_round[1]["record"]
-        assert "train_loss" in by_round[2]["record"]
+        assert validate_ledger_file(path) == []
+        rounds = LedgerReader(path).rounds()
+        assert [e["round"] for e in rounds] == [1, 2, 3, 4]
+        # the monitors saw exactly the committed objects, in order
+        assert [e["record"] for e in rounds] == [
+            asdict(r) for r in recorder.seen
+        ]
+        # evaluated rounds: the history holds those same objects
+        evaluated = [r for r in recorder.seen if r.evaluated]
+        assert [r.round_index for r in evaluated] == [2, 4]
+        assert len(history.records) == len(evaluated)
+        assert all(h is r for h, r in zip(history.records, evaluated))
+        assert [e["record"] for e in rounds if e["evaluated"]] == [
+            asdict(h) for h in history.records
+        ]
+        # one shape: every round carries every field, wall time included
+        assert len({frozenset(e["record"]) for e in rounds}) == 1
+        for event in rounds:
+            record = event["record"]
+            assert event["evaluated"] == (record["train_loss"] is not None)
+            assert event["sim_time"] == record["sim_time"]
+            assert isinstance(record["wall_time"], float)
+        assert [e["evaluated"] for e in rounds] == [False, True, False, True]
 
     def test_bit_identical_with_ledger_and_monitors_on(
         self, tiny_dataset, tiny_model_factory, tmp_path

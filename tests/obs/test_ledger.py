@@ -17,6 +17,7 @@ from repro.obs.ledger import (
     LEDGER_SCHEMA,
     LedgerError,
     LedgerReader,
+    RoundRecord,
     RunLedger,
     package_digest,
 )
@@ -32,7 +33,7 @@ def _write_run(path, *, rounds=3, alerts=0, status="completed"):
     )
     for s in range(1, rounds + 1):
         ledger.commit_round(
-            s, {"round_index": s, "train_loss": 3.0 / s}, sim_time=float(s)
+            RoundRecord(round_index=s, train_loss=3.0 / s, sim_time=float(s))
         )
     for i in range(alerts):
         ledger.alert(rounds, "theorem1_contraction", f"alert {i}")
@@ -79,7 +80,7 @@ class TestRunLedger:
         ledger.write_manifest({})
         ledger.close()
         with pytest.raises(LedgerError, match="closed"):
-            ledger.commit_round(1, {})
+            ledger.commit_round(RoundRecord(1))
 
     def test_close_is_idempotent(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -96,7 +97,7 @@ class TestRunLedger:
         with pytest.raises(RuntimeError):
             with RunLedger(str(path), fsync=False) as ledger:
                 ledger.write_manifest({})
-                ledger.commit_round(1, {"train_loss": 1.0})
+                ledger.commit_round(RoundRecord(1, train_loss=1.0))
                 raise RuntimeError("boom")
         reader = LedgerReader(str(path))
         assert reader.validate() == []
@@ -219,6 +220,41 @@ class TestValidation:
         assert any(
             "last event" in e for e in LedgerReader(str(path)).validate()
         )
+
+    def test_ci_validator_detects_a_light_round_record(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        _write_run(path, rounds=3)
+        events = self._events(path)
+        del events[2]["record"]["test_accuracy"]
+        self._rewrite(path, events)
+        assert validate_ledger_file(str(path)) != []
+        assert any(
+            "fields differ" in e for e in validate_ledger_file(str(path))
+        )
+
+    def test_ci_validator_detects_evaluated_flag_mismatch(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        _write_run(path, rounds=2)
+        events = self._events(path)
+        events[1]["evaluated"] = False  # train_loss is set
+        events[2]["record"]["train_loss"] = None  # flag still True
+        self._rewrite(path, events)
+        errors = validate_ledger_file(str(path))
+        assert sum("evaluated=" in e for e in errors) == 2
+
+    def test_unevaluated_record_commits_every_field(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with RunLedger(str(path), fsync=False) as ledger:
+            ledger.write_manifest({})
+            ledger.commit_round(RoundRecord(1, sim_time=2.0, wall_time=0.5))
+            ledger.commit_round(RoundRecord(2, train_loss=1.0, sim_time=4.0))
+        first, second = LedgerReader(str(path)).rounds()
+        assert (first["evaluated"], second["evaluated"]) == (False, True)
+        assert first["sim_time"] == 2.0 and second["sim_time"] == 4.0
+        assert first["record"]["train_loss"] is None
+        assert first["record"]["wall_time"] == 0.5
+        assert list(first["record"]) == list(second["record"])
+        assert validate_ledger_file(str(path)) == []
 
     def test_empty_file_invalid(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -13,13 +13,12 @@ import math
 import pytest
 
 from repro.core.theory import ProblemConstants, federated_factor
-from repro.obs.ledger import LedgerReader, RunLedger
+from repro.obs.ledger import LedgerReader, RoundRecord, RunLedger
 from repro.obs.monitors import (
     Alert,
     DivergenceTripwire,
     MonitorFailFast,
     MonitorSuite,
-    RoundObservation,
     SigmaDriftMonitor,
     StragglerAnomalyMonitor,
     TheoremOneMonitor,
@@ -30,7 +29,7 @@ from repro.obs.monitors import (
 
 
 def obs(round_index, **kwargs):
-    return RoundObservation(round_index=round_index, **kwargs)
+    return RoundRecord(round_index=round_index, **kwargs)
 
 
 class TestContractionFactorPin:
@@ -108,10 +107,11 @@ class TestTheoremOneMonitor:
 
     def test_skips_unevaluated_and_nonfinite_rounds(self):
         m = self._bound()
+        unevaluated = obs(2, grad_dissimilarity=1.2)
+        assert not unevaluated.evaluated
         assert m.observe(obs(1, train_loss=1.0)) is None
-        assert m.observe(obs(2, train_loss=None)) is None
-        assert m.observe(obs(3, train_loss=9.0, evaluated=False)) is None
-        assert m.observe(obs(4, train_loss=float("nan"))) is None
+        assert m.observe(unevaluated) is None
+        assert m.observe(obs(3, train_loss=float("nan"))) is None
 
 
 class TestDriftMonitors:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import RoundRecord, RunLedger
 from repro.obs.report import (
     aggregate_tree,
     load_events,
@@ -133,10 +133,10 @@ class TestRenderLedgerReport:
         ledger = RunLedger(str(path), fsync=False)
         ledger.write_manifest({"algorithm": "fedavg", "tau": 5})
         ledger.commit_round(
-            1,
-            {"round_index": 1, "train_loss": 2.5, "grad_norm": 0.5,
-             "grad_dissimilarity": 1.08},
-            sim_time=1.0,
+            RoundRecord(
+                round_index=1, train_loss=2.5, grad_norm=0.5, sim_time=1.0,
+                grad_dissimilarity=1.08,
+            )
         )
         for _ in range(alerts):
             ledger.alert(1, "divergence", "loss is non-finite: nan")

@@ -37,7 +37,6 @@ import platform
 import sys
 import time
 import tracemalloc
-from dataclasses import asdict
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -213,9 +212,7 @@ def emit_run_ledger(
         },
     )
     for rec in history.records:
-        ledger.commit_round(
-            rec.round_index, asdict(rec), sim_time=rec.sim_time
-        )
+        ledger.commit_round(rec)
     if hotspots:
         ledger.hotspots(
             [
